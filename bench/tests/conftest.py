@@ -1,0 +1,11 @@
+"""`bench/` is a directory of scripts, not a package: put it, and the
+program it measures, on the import path the way `run.py` does for its
+children."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH.parent / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))

@@ -23,11 +23,18 @@ default 2.0M ev/s).  Two things hard-fail:
 
 When ``$GITHUB_STEP_SUMMARY`` is set, per-jobs and per-partition-count
 tables are appended to the job summary.
+
+Before the probes it prints the delta between the last two records of
+``BENCH_history.jsonl`` (the end-to-end benchmark's trajectory, see
+``scripts/bench_record.py``) — warn-only, like every wall-clock number
+here.
 """
 
 import sys
 
+from bench_record import print_delta
 from repro.harness.wallclock import main
 
 if __name__ == "__main__":
+    print_delta()
     sys.exit(main())

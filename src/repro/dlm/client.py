@@ -42,6 +42,7 @@ from repro.dlm.messages import (
     ShardAnnounceMsg,
     WrongShardMsg,
 )
+from repro.dlm.server import LockTable
 from repro.dlm.types import LockMode, LockState, can_satisfy
 from repro.net.fabric import Node, UnknownServiceError
 from repro.net.rpc import (
@@ -71,10 +72,6 @@ class ClientLock:
     used_write: bool = False
     cancel_started: bool = False
     merged_into: Optional["ClientLock"] = None
-
-    def covers(self, extents) -> bool:
-        return all(any(ls <= s and e <= le for ls, le in self.extents)
-                   for s, e in extents)
 
 
 @dataclass
@@ -192,6 +189,11 @@ class LockClient:
         #: re-routes so a migrated grant can answer a resend.
         self._request_tokens = itertools.count(1)
         self._cache: Dict[Hashable, List[ClientLock]] = {}
+        #: The locks of each ``_cache`` list a later lock() may reuse
+        #: (state GRANTED), in the same order, indexed by range.  A lock
+        #: that leaves GRANTED never returns to it, so it is dropped
+        #: here at that transition.
+        self._usable: Dict[Hashable, LockTable] = {}
         # Lock ids are only unique per server; key by (resource, id).
         self._by_id: Dict[tuple, ClientLock] = {}
         # Revocations that arrived before their grant reply (the server
@@ -309,12 +311,15 @@ class LockClient:
                           sn=grant.sn, state=grant.state, refcount=1)
         self._absorb(grant, lock)
         self._cache.setdefault(resource_id, []).append(lock)
+        if lock.state is LockState.GRANTED:
+            self._usable.setdefault(resource_id,
+                                    LockTable())[lock.lock_id] = lock
         self._by_id[(resource_id, lock.lock_id)] = lock
         key = (resource_id, lock.lock_id)
         if key in self._pending_revokes:
             # A revocation raced ahead of this grant: honour it now.
             self._pending_revokes.discard(key)
-            lock.state = LockState.CANCELING
+            self._set_canceling(lock)
             self._notify(server, RevokeAckMsg(lock.lock_id, resource_id,
                                               incarnation=self.incarnation))
         self._mark_use(lock, for_write)
@@ -390,12 +395,32 @@ class LockClient:
             return
 
     def _cache_lookup(self, resource_id, extents, mode) -> Optional[ClientLock]:
-        for cl in self._cache.get(resource_id, ()):
-            if (cl.state is LockState.GRANTED and not cl.cancel_started
-                    and can_satisfy(cl.mode, mode) and cl.covers(extents)):
-                cl.refcount += 1
-                return cl
+        usable = self._usable.get(resource_id)
+        if usable:
+            for cl in usable.covering(extents):
+                if can_satisfy(cl.mode, mode):
+                    cl.refcount += 1
+                    return cl
         return None
+
+    def _set_canceling(self, lock: ClientLock) -> None:
+        lock.state = LockState.CANCELING
+        self._unusable(lock)
+
+    def _unusable(self, lock: ClientLock) -> None:
+        usable = self._usable.get(lock.resource_id)
+        if usable and usable.get(lock.lock_id) is lock:
+            del usable[lock.lock_id]
+
+    def _uncache(self, lock: ClientLock) -> None:
+        """Drop ``lock`` itself from the grant cache (identity, not the
+        dataclass's field-wise equality)."""
+        self._unusable(lock)
+        locks = self._cache.get(lock.resource_id, ())
+        for i, cl in enumerate(locks):
+            if cl is lock:
+                del locks[i]
+                return
 
     def _absorb(self, grant: LockGrantMsg, new: ClientLock) -> None:
         """Merge locks absorbed by an upgrade grant into the new lock."""
@@ -407,9 +432,7 @@ class LockClient:
             new.refcount += old.refcount
             new.used_read = new.used_read or old.used_read
             new.used_write = new.used_write or old.used_write
-            locks = self._cache.get(old.resource_id, [])
-            if old in locks:
-                locks.remove(old)
+            self._uncache(old)
 
     @staticmethod
     def _mark_use(lock: ClientLock, for_write: bool) -> None:
@@ -467,7 +490,7 @@ class LockClient:
         self._notify(server, RevokeAckMsg(payload.lock_id,
                                           payload.resource_id,
                                           incarnation=self.incarnation))
-        lock.state = LockState.CANCELING
+        self._set_canceling(lock)
         self._maybe_cancel(lock)
 
     def _on_failover(self, msg: FailoverAnnounceMsg) -> None:
@@ -542,9 +565,7 @@ class LockClient:
     def _forget(self, lock: ClientLock) -> None:
         self._pending_revokes.discard((lock.resource_id, lock.lock_id))
         self._by_id.pop((lock.resource_id, lock.lock_id), None)
-        locks = self._cache.get(lock.resource_id)
-        if locks and lock in locks:
-            locks.remove(lock)
+        self._uncache(lock)
 
     # -------------------------------------------------------------- liveness
     def note_fenced(self, msg: FencedMsg) -> None:
@@ -563,6 +584,7 @@ class LockClient:
         self.stats.rejoins += 1
         dropped = self.cached_locks()
         self._cache.clear()
+        self._usable.clear()
         self._by_id.clear()
         self._pending_revokes.clear()
         if self.discard_fn is not None:
@@ -601,7 +623,7 @@ class LockClient:
         locks = [l for l in self.cached_locks() if not l.cancel_started]
         procs = []
         for lock in locks:
-            lock.state = LockState.CANCELING
+            self._set_canceling(lock)
             if lock.refcount == 0:
                 lock.cancel_started = True
                 procs.append(self.sim.spawn(self._cancel(lock)))

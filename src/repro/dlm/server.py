@@ -25,8 +25,10 @@ totally ordered.  The data path tags written bytes with these SNs.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.dlm.config import (
@@ -62,7 +64,26 @@ from repro.net.rpc import (
     one_way,
 )
 
-__all__ = ["LockServer", "ServerLock", "LockServerStats", "LivenessEvent"]
+__all__ = ["LockServer", "LockTable", "ServerLock", "LockServerStats",
+           "LivenessEvent"]
+
+
+def _extents_overlap(mine, extents) -> bool:
+    return any(overlaps(a, b) for a in mine for b in extents)
+
+
+def _extents_cover(mine, extents) -> bool:
+    return all(any(ls <= s and e <= le for ls, le in mine)
+               for s, e in extents)
+
+
+def _hull(extents) -> Tuple[int, int]:
+    """Smallest single range containing every extent of ``extents``
+    (:func:`repro.dlm.extent.span`, at C speed: a datatype lock or an
+    mSN query carries thousands of extents)."""
+    if not extents:
+        return 0, 0
+    return min(extents)[0], max(extents, key=itemgetter(1))[1]
 
 
 @dataclass
@@ -87,12 +108,11 @@ class ServerLock:
         mine = self.extents
         # Fast path: single extent on both sides (the common case by
         # orders of magnitude — datatype locks are the only multi-extent
-        # producers).  Profiling shows this predicate dominates the
-        # server's conflict scans under contention.
+        # producers).
         if len(mine) == 1 and len(extents) == 1:
             (a0, a1), (b0, b1) = mine[0], extents[0]
             return a0 < b1 and b0 < a1 and a0 < a1 and b0 < b1
-        return any(overlaps(a, b) for a in mine for b in extents)
+        return _extents_overlap(mine, extents)
 
 
 @dataclass
@@ -102,10 +122,215 @@ class _Pending:
     arrival: float
 
 
+class LockTable(dict):
+    """Locks of one resource, ``lock_id -> lock``, with an interval index.
+
+    A plain ``dict`` to every reader (iteration, ``get``, ``len``,
+    insertion order, in-place replacement of an existing ``lock_id``),
+    plus an index kept in step by ``[]=``, ``del``, ``pop`` and ``clear``
+    so that range queries cost O(log n + candidates) instead of O(n).
+    The lock server keeps each resource's granted :class:`ServerLock` records
+    in one; the lock client keeps its reusable grants in one.
+
+    The index is two sorted lists, one keyed by range start and one by
+    range end.  A lock is indexed once, by the hull of its extents (a
+    2048-extent datatype lock costs one entry, not 2048); the hull only
+    selects candidates, the exact extent lists decide.  A query walks
+    whichever list has the shorter qualifying side — for an overlap the
+    prefix ``start < b1`` or the suffix ``end > b0``; in the paper's
+    ascending-offset patterns the suffix stays short however large the
+    table grows.
+
+    Query results come back **in dict insertion order**, the order a
+    linear scan of ``values()`` produces: on the server it decides which
+    ``RevokeMsg`` leaves first and with it every later simulated
+    timestamp.  Each lock carries the sequence number of its first
+    insertion for that purpose; re-installing an existing ``lock_id``
+    keeps it, as the dict keeps the key's position.
+
+    ``update`` / ``setdefault`` / ``popitem`` / ``|=`` would bypass the
+    index and are rejected.
+    """
+
+    __slots__ = ("_by_start", "_by_end", "_entries", "_next_seq", "_live",
+                 "_last")
+
+    def __init__(self, live: Optional[List[int]] = None):
+        super().__init__()
+        #: Sorted ``(start, seq, end, lock, single)`` rows: the hull, the
+        #: insertion sequence number (unique, so a comparison never
+        #: reaches the lock) and whether the lock has exactly one extent
+        #: (then the hull *is* the lock).
+        self._by_start: List[tuple] = []
+        #: The same rows keyed by end: ``(end, seq, start, lock, single)``.
+        self._by_end: List[tuple] = []
+        #: ``lock_id ->`` its ``_by_start`` row: the keys a lock was
+        #: indexed under, whatever happens to the lock object later.
+        self._entries: Dict[int, tuple] = {}
+        self._next_seq = 0
+        #: One-cell count of locks shared by all tables of one lock
+        #: server (:attr:`LockServer.lock_table_size`).
+        self._live = [0] if live is None else live
+        #: ``(extents, result)`` of the latest :meth:`overlapping`, valid
+        #: until the next mutation: the server asks the same question
+        #: again when it grants the request it just found conflict-free,
+        #: and each time a blocked queue head is re-examined.
+        self._last: Optional[tuple] = None
+
+    # -- mutation -----------------------------------------------------------
+    def __setitem__(self, lock_id: int, lock) -> None:
+        old = self._entries.get(lock_id)
+        if old is None:
+            seq = self._next_seq
+            self._next_seq += 1
+            self._live[0] += 1
+        else:
+            seq = old[1]
+            self._unindex(old)
+        self._last = None
+        single = len(lock.extents) == 1
+        lo, hi = lock.extents[0] if single else _hull(lock.extents)
+        row = self._entries[lock_id] = (lo, seq, hi, lock, single)
+        insort(self._by_start, row)
+        insort(self._by_end, (hi, seq, lo, lock, single))
+        super().__setitem__(lock_id, lock)
+
+    def __delitem__(self, lock_id: int) -> None:
+        super().__delitem__(lock_id)
+        self._unindex(self._entries.pop(lock_id))
+        self._live[0] -= 1
+        self._last = None
+
+    def pop(self, lock_id: int, *default):
+        if lock_id in self:
+            lock = self[lock_id]
+            del self[lock_id]
+            return lock
+        if default:
+            return default[0]
+        raise KeyError(lock_id)
+
+    def clear(self) -> None:
+        self._live[0] -= len(self)
+        super().clear()
+        self._entries.clear()
+        self._by_start.clear()
+        self._by_end.clear()
+        self._last = None
+
+    def _unindex(self, row: tuple) -> None:
+        lo, seq, hi = row[:3]
+        del self._by_start[bisect_left(self._by_start, (lo, seq))]
+        del self._by_end[bisect_left(self._by_end, (hi, seq))]
+
+    def _unsupported(self, *_args, **_kwargs):
+        raise TypeError("LockTable is mutated through [] / del / pop / "
+                        "clear only (anything else bypasses the index)")
+
+    update = setdefault = popitem = __ior__ = _unsupported
+
+    # -- queries ------------------------------------------------------------
+    def overlapping(self, extents) -> list:
+        """Locks sharing at least one byte with ``extents``, in
+        insertion order (a list the caller must not modify).
+        Zero-length extents match nothing."""
+        last = self._last
+        if last is not None and last[0] == extents:
+            return last[1]
+        # Two single ranges overlap iff their hulls do; anything else is
+        # confirmed against the extent lists.
+        one = len(extents) == 1
+        b0, b1 = extents[0] if one else _hull(extents)
+        if b0 >= b1:
+            return []
+        by_start, by_end = self._by_start, self._by_end
+        below = bisect_left(by_start, (b1,))      # rows with start < b1
+        above = bisect_left(by_end, (b0 + 1,))    # first row with end > b0
+        if below <= len(by_end) - above:
+            hits = [(seq, g) for lo, seq, hi, g, single in by_start[:below]
+                    if hi > b0 and (one and single and lo < hi or
+                                    _extents_overlap(g.extents, extents))]
+        else:
+            hits = [(seq, g) for hi, seq, lo, g, single in by_end[above:]
+                    if lo < b1 and (one and single and lo < hi or
+                                    _extents_overlap(g.extents, extents))]
+        hits.sort()
+        found = [g for _seq, g in hits]
+        self._last = (extents, found)
+        return found
+
+    def ending_after(self, offset: int) -> list:
+        """Locks with an extent ending above ``offset``, in insertion
+        order."""
+        tail = self._by_end[bisect_left(self._by_end, (offset + 1,)):]
+        tail.sort(key=itemgetter(1))
+        return [row[3] for row in tail]
+
+    def covering(self, extents) -> list:
+        """Locks that contain every extent of ``extents`` in one of
+        their own, in insertion order."""
+        if not extents:
+            return list(self.values())
+        # A single range covers another iff its hull does; anything else
+        # is confirmed against the extent lists.
+        one = len(extents) == 1
+        b0, b1 = extents[0] if one else _hull(extents)
+        by_start, by_end = self._by_start, self._by_end
+        below = bisect_left(by_start, (b0 + 1,))  # rows with start <= b0
+        above = bisect_left(by_end, (b1,))        # first row with end >= b1
+        if below <= len(by_end) - above:
+            hits = [(seq, g) for _lo, seq, hi, g, single in by_start[:below]
+                    if hi >= b1 and (one and single or
+                                     _extents_cover(g.extents, extents))]
+        else:
+            hits = [(seq, g) for _hi, seq, lo, g, single in by_end[above:]
+                    if lo <= b0 and (one and single or
+                                     _extents_cover(g.extents, extents))]
+        if len(hits) > 1:
+            hits.sort()
+        return [g for _seq, g in hits]
+
+    # -- self-check ---------------------------------------------------------
+    def index_fault(self) -> Optional[str]:
+        """Why the index disagrees with the mapping, or None when it
+        holds exactly the mapping's locks in the mapping's order (O(n);
+        validator invariant I10)."""
+        entries = self._entries
+        if not (len(self) == len(entries) == len(self._by_start)
+                == len(self._by_end)):
+            return (f"{len(self)} locks but {len(entries)} entries, "
+                    f"{len(self._by_start)} by start, "
+                    f"{len(self._by_end)} by end")
+        last_seq = -1
+        for lock_id, lock in self.items():
+            row = entries.get(lock_id)
+            if row is None or row[3] is not lock:
+                return f"lock {lock_id} is not the one indexed"
+            lo, seq, hi, _lock, single = row
+            if (lo, hi) != _hull(lock.extents) or \
+                    single != (len(lock.extents) == 1):
+                return f"lock {lock_id} indexed as [{lo}, {hi})"
+            if seq <= last_seq:
+                return f"lock {lock_id} out of insertion order"
+            last_seq = seq
+        for name, rows in (("start", self._by_start), ("end", self._by_end)):
+            prev = None
+            for key, seq, other, lock, _single in rows:
+                row = entries.get(lock.lock_id)
+                want = (key, seq, other) if name == "start" else \
+                    (other, seq, key)
+                if row is None or row[3] is not lock or row[:3] != want:
+                    return f"stray by-{name} row for lock {lock.lock_id}"
+                if prev is not None and (key, seq) <= prev:
+                    return f"by-{name} list unsorted at lock {lock.lock_id}"
+                prev = (key, seq)
+        return None
+
+
 @dataclass
 class _Resource:
     resource_id: Hashable
-    granted: Dict[int, ServerLock] = field(default_factory=dict)
+    granted: LockTable = field(default_factory=LockTable)
     queue: Deque[_Pending] = field(default_factory=deque)
     next_sn: int = 1
 
@@ -210,8 +435,10 @@ class LockServer:
         #: Cluster hook called as ``on_evict(client, reason, reclaimed)``
         #: — records the eviction in the fault plan and kicks cleaning.
         self.on_evict = None
-        #: High-watermarks for the metrics layer (current values are
-        #: computed from live state, so they can never drift).
+        #: Granted locks across all resources, as a cell every resource's
+        #: :class:`LockTable` counts into where it is mutated.
+        self._granted_count = [0]
+        #: High-watermarks for the metrics layer.
         self.lock_table_max = 0
         self.waiter_queue_max = 0
         # -- high availability (see repro.dlm.replication) -----------------
@@ -269,7 +496,8 @@ class LockServer:
     def _res(self, resource_id: Hashable) -> _Resource:
         res = self._resources.get(resource_id)
         if res is None:
-            res = self._resources[resource_id] = _Resource(resource_id)
+            res = self._resources[resource_id] = _Resource(
+                resource_id, LockTable(self._granted_count))
             if self.sn_floors is not None:
                 # The resource was idle and frugally collapsed: restore
                 # its sequencer floor so no SN is ever reissued.
@@ -293,6 +521,8 @@ class LockServer:
     def reset_state(self) -> None:
         """Drop all volatile lock state (crash simulation, §IV-C2)."""
         self._resources.clear()
+        # A fresh cell: tables orphaned by the crash keep the old one.
+        self._granted_count = [0]
         self._revoke_sent_at.clear()
         self._epoch += 1
         # Liveness state is volatile too: leases and fences die with the
@@ -352,10 +582,10 @@ class LockServer:
     @property
     def lock_table_size(self) -> int:
         """Locks currently granted across all resources."""
-        return sum(len(res.granted) for res in self._resources.values())
+        return self._granted_count[0]
 
     def _note_table_size(self) -> None:
-        size = self.lock_table_size
+        size = self._granted_count[0]
         if size > self.lock_table_max:
             self.lock_table_max = size
 
@@ -525,8 +755,8 @@ class LockServer:
         resource's next SN is fully flushed."""
         self.stats.msn_queries += 1
         res = self._res(msg.resource_id)
-        sns = [g.sn for g in res.granted.values()
-               if is_write_mode(g.mode) and g.overlaps_extents(msg.extents)]
+        sns = [g.sn for g in res.granted.overlapping(msg.extents)
+               if is_write_mode(g.mode)]
         msn = min(sns) - 1 if sns else res.next_sn - 1
         req.respond(msn)
         self._maybe_gc(res)
@@ -633,31 +863,28 @@ class LockServer:
         req.respond("ok", nbytes=CTRL_MSG_BYTES)
 
     # ------------------------------------------------------------ the queue
-    def _conflicts(self, res: _Resource, msg: LockRequestMsg) -> List[ServerLock]:
+    def _incompatible(self, mode: LockMode,
+                      locks: List[ServerLock]) -> List[ServerLock]:
+        """The locks of ``locks`` a grant at ``mode`` may not coexist
+        with, order kept.  The LCM is a pure function of ``(mode,
+        granted mode, granted state)`` and overlapping locks come in
+        long runs of one mode and state (a chain of CANCELING NBW locks
+        behind one writer), so it is evaluated once per run."""
         lcm = self.config.lcm
-        exts = msg.extents
-        mode = msg.mode
-        if len(exts) == 1:
-            # Inlined single-extent overlap test: this scan runs once per
-            # request over every granted lock and dominates server time
-            # under contention (see scripts/profile_hotpath.py).
-            b0, b1 = exts[0]
-            if b0 < b1:
-                out = []
-                for g in res.granted.values():
-                    mine = g.extents
-                    if len(mine) == 1:
-                        a0, a1 = mine[0]
-                        if not (a0 < b1 and b0 < a1 and a0 < a1):
-                            continue
-                    elif not g.overlaps_extents(exts):
-                        continue
-                    if not lcm(mode, g.mode, g.state):
-                        out.append(g)
-                return out
-        return [g for g in res.granted.values()
-                if g.overlaps_extents(exts)
-                and not lcm(mode, g.mode, g.state)]
+        out = []
+        run_mode = run_state = None
+        compatible = True
+        for g in locks:
+            if g.mode is not run_mode or g.state is not run_state:
+                run_mode, run_state = g.mode, g.state
+                compatible = lcm(mode, run_mode, run_state)
+            if not compatible:
+                out.append(g)
+        return out
+
+    def _conflicts(self, res: _Resource, msg: LockRequestMsg) -> List[ServerLock]:
+        return self._incompatible(msg.mode,
+                                  res.granted.overlapping(msg.extents))
 
     @staticmethod
     def _absorbable(g: ServerLock, client_name: str) -> bool:
@@ -679,7 +906,6 @@ class LockServer:
         mode = msg.mode
         for c in absorb:
             mode = severity_lub(mode, c.mode)
-        lcm = self.config.lcm
         while True:
             lo = min([s for s, _e in msg.extents]
                      + [s for c in absorb for s, _e in c.extents])
@@ -687,13 +913,11 @@ class LockServer:
                      + [e for c in absorb for _s, e in c.extents])
             blockers = []
             grew = False
-            for g in res.granted.values():
-                if g in absorb:
+            absorbed = {c.lock_id for c in absorb}
+            for g in self._incompatible(
+                    mode, res.granted.overlapping(((lo, hi),))):
+                if g.lock_id in absorbed:
                     continue
-                if not g.overlaps_extents(((lo, hi),)):
-                    continue
-                if lcm(mode, g.mode, g.state):
-                    continue  # compatible with the upgraded mode
                 if self._absorbable(g, msg.client_name):
                     absorb.append(g)
                     mode = severity_lub(mode, g.mode)
@@ -775,8 +999,8 @@ class LockServer:
     # ------------------------------------------------------------- granting
     def _expand(self, res: _Resource, msg: LockRequestMsg,
                 mode: LockMode,
-                extents: Tuple[Tuple[int, int], ...],
-                skip_ids: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, int], ...], bool]:
+                extents: Tuple[Tuple[int, int], ...]
+                ) -> Tuple[Tuple[Tuple[int, int], ...], bool]:
         """Apply the range-expansion policy to ``extents`` (the request's
         extents, possibly already unioned by an upgrade) for a lock about
         to be granted at ``mode`` (possibly upgraded vs the request);
@@ -791,21 +1015,13 @@ class LockServer:
         bound = EOF
         # Granted locks that would conflict with the new mode cap the end;
         # one overlapping the requested range itself makes expansion
-        # impossible (the request keeps its exact range).
-        for g in res.granted.values():
-            if g.lock_id in skip_ids:
-                continue
-            mine = g.extents
-            if len(mine) == 1:
-                # A lock entirely below the request can neither cap the
-                # bound nor block expansion — skip it before the (pricier)
-                # compatibility call.  This is the common case in
-                # ascending-offset workloads.
-                gs, ge = mine[0]
-                if ge <= start and gs < end:
-                    continue
-            if lcm(mode, g.mode, g.state):
-                continue
+        # impossible (the request keeps its exact range).  A lock entirely
+        # below the request does neither, so the index hands over only
+        # the locks ending above ``start``.  (An empty request, ``start >=
+        # end``, can be capped by a lock that starts at ``end`` and ends
+        # no higher than ``start``; asking from ``end - 1`` keeps it.)
+        for g in self._incompatible(
+                mode, res.granted.ending_after(min(start, end - 1))):
             for (gs, ge) in g.extents:
                 if gs >= end:
                     bound = min(bound, gs)
@@ -878,16 +1094,12 @@ class LockServer:
             self.stats.upgrades += 1
 
         # Early-grant accounting: did Table II's N/Y cell enable this?
-        # Cheap identity checks come first: CANCELING NBW locks are rare,
-        # so the extent test almost never runs.
         if is_write_mode(mode) and any(
                 g.state is LockState.CANCELING and g.mode is LockMode.NBW
-                and g.overlaps_extents(extents)
-                for g in res.granted.values()):
+                for g in res.granted.overlapping(extents)):
             self.stats.early_grants += 1
 
-        extents, expanded = self._expand(res, msg, mode, extents,
-                                         absorbed_ids)
+        extents, expanded = self._expand(res, msg, mode, extents)
         if expanded:
             self.stats.expansions += 1
 

@@ -59,6 +59,17 @@ I9. **Decentralized mutual exclusion over the message trace** — the
     on, exactly what the sequencer provides in SeqDLM).  Checked by the
     cluster-shared :class:`MutexLedger`, fed synchronously by each
     coordinator before its release messages leave the node.
+I10. **Table/index coherence** — the interval index of a resource's
+    :class:`~repro.dlm.server.LockTable` holds exactly the locks in the
+    mapping, each under the hull of its current extents, in the
+    mapping's insertion order (one O(n) pass,
+    :meth:`~repro.dlm.server.LockTable.index_fault`).  The server
+    answers its conflict, expansion and mSN questions from that index;
+    I1/I3/I4 above deliberately do *not* — they keep their brute-force
+    scans of ``granted.values()`` so that they stay an independent
+    oracle, and I10 is what ties the two views together: an index that
+    lost or kept a stale lock is caught here even when the locks that
+    remain visible to the server still look compatible.
 
 The validator is pure observation — it never mutates server state — and
 is cheap enough to leave on in every integration test.  Violations raise
@@ -247,6 +258,12 @@ class LockValidator:
     def validate_resource(self, res: _Resource) -> None:
         locks = list(res.granted.values())
         rid = res.resource_id
+
+        # I10: the index the server queries holds exactly these locks.
+        fault = res.granted.index_fault()
+        if fault is not None:
+            raise LockInvariantViolation(
+                f"[I10] lock table index of {rid!r} is incoherent: {fault}")
 
         # I1: pairwise compatibility (order-sensitive: check both ways —
         # a pair is legal if EITHER direction is compatible, since grant

@@ -211,6 +211,55 @@ def test_epoch_roll_clears_eviction_history():
     assert ("r", 1) not in validator._evicted_grants
 
 
+# ------------------------------------------- I10: table/index coherence
+def test_i10_detects_lock_missing_from_index():
+    """The server answers conflict questions from the table's interval
+    index; a lock the mapping holds but the index lost is invisible to
+    it.  I1/I3 (brute force over the mapping) see nothing wrong with a
+    single lock — only the coherence check does."""
+    rig = Rig(dlm="seqdlm", clients=1)
+    validator = LockValidator(rig.server)
+    res = _resource_of(rig)
+    res.next_sn = 10
+    res.granted[1] = ServerLock(1, "r", "a", NBW, ((0, 100),), 1, G)
+    validator.validate_resource(res)  # coherent: no raise
+    # Corrupt the index behind the mapping's back.
+    del res.granted._by_end[0]
+    with pytest.raises(LockInvariantViolation, match=r"\[I10\]"):
+        validator.validate_resource(res)
+
+
+def test_i10_detects_stale_lock_left_in_index():
+    """The converse: a lock removed from the mapping (bypassing the
+    table's own ``del``) that the index still serves to the server."""
+    rig = Rig(dlm="seqdlm", clients=1)
+    validator = LockValidator(rig.server)
+    res = _resource_of(rig)
+    res.next_sn = 10
+    res.granted[1] = ServerLock(1, "r", "a", NBW, ((0, 100),), 1, G)
+    res.granted[2] = ServerLock(2, "r", "b", NBW, ((200, 300),), 2, G)
+    dict.__delitem__(res.granted, 2)
+    assert [g.lock_id for g in res.granted.overlapping(((250, 260),))] == [2]
+    with pytest.raises(LockInvariantViolation, match=r"\[I10\]"):
+        validator.validate_resource(res)
+
+
+def test_i10_detects_extents_changed_under_the_index():
+    """A lock whose extents were edited in place is indexed under its
+    old range."""
+    rig = Rig(dlm="seqdlm", clients=1)
+    validator = LockValidator(rig.server)
+    res = _resource_of(rig)
+    res.next_sn = 10
+    lock = ServerLock(1, "r", "a", NBW, ((0, 100),), 1, G)
+    res.granted[1] = lock
+    lock.extents = ((500, 600),)
+    with pytest.raises(LockInvariantViolation, match=r"\[I10\]"):
+        validator.validate_resource(res)
+    res.granted[1] = lock  # re-installing re-indexes
+    validator.validate_resource(res)
+
+
 def test_detach_restores_original_process():
     rig = Rig(dlm="seqdlm", clients=1)
     orig_process = rig.server._process

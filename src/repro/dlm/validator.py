@@ -65,11 +65,29 @@ I10. **Table/index coherence** — the interval index of a resource's
     mapping's insertion order (one O(n) pass,
     :meth:`~repro.dlm.server.LockTable.index_fault`).  The server
     answers its conflict, expansion and mSN questions from that index;
-    I1/I3/I4 above deliberately do *not* — they keep their brute-force
-    scans of ``granted.values()`` so that they stay an independent
-    oracle, and I10 is what ties the two views together: an index that
-    lost or kept a stale lock is caught here even when the locks that
-    remain visible to the server still look compatible.
+    I1/I3/I4 above deliberately do *not* — they read ``granted`` as a
+    plain mapping (``values()`` / ``items()``) and rebuild what they
+    need from scratch on every transition, so that they stay an
+    independent oracle, and I10 is what ties the two views together: an
+    index that lost or kept a stale lock is caught here even when the
+    locks that remain visible to the server still look compatible.
+
+**Cost of one transition.**  The LCM depends only on ``(request mode,
+granted mode, granted state)``, so the granted locks are bucketed into
+at most eight ``(mode, state)`` classes and the LCM is asked once per
+pair of *classes*.  A pair of classes that is compatible in either
+direction needs no further look (a chain of CANCELING NBW locks under
+one GRANTED head is legal however its ranges overlap); the others — and,
+for I3, every pair of GRANTED write classes whatever the LCM says — are
+searched for two locks sharing a byte by a sweep over the locks sorted
+by the start of their hull, confirmed exactly with
+``ServerLock.overlaps_extents`` (:func:`_overlapping_pair`).  That is
+O(n log n) plus one exact test per pair whose hulls overlap, where the
+pair scan it replaced made n²/2 exact tests: 29.8M → 0.07M
+``overlaps_extents`` calls on the bench's ``failover_validated``
+(≤ 167 locks, 2317 transitions).  The check is stateless and complete
+on every transition — no delta tracking, no sampling; the pair scan
+survives as the reference of ``tests/property/test_validator_oracle.py``.
 
 The validator is pure observation — it never mutates server state — and
 is cheap enough to leave on in every integration test.  Violations raise
@@ -79,12 +97,13 @@ transition instead of a downstream data corruption.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
+from repro.dlm.extent import span
 from repro.dlm.lcm import CompatibilityFn
-from repro.dlm.server import LockServer, _Resource
-from repro.dlm.types import LockState, is_write_mode
-from repro.dlm.extent import overlaps
+from repro.dlm.server import LockServer, ServerLock, _Resource
+from repro.dlm.types import LockMode, LockState, is_write_mode
 
 __all__ = ["LockInvariantViolation", "LockValidator", "MutexLedger",
            "MutexValidator", "ShardLedger", "SnLedger", "attach_validator"]
@@ -150,6 +169,42 @@ class ShardLedger:
                 f"[I8] grant on {resource_id!r} issued by {server_name!r} "
                 f"but owner of record (epoch {self.epoch_fn()}) is "
                 f"{owner!r}")
+
+
+def _overlapping_pair(side_a: Sequence[ServerLock],
+                      side_b: Optional[Sequence[ServerLock]] = None
+                      ) -> Optional[Tuple[ServerLock, ServerLock]]:
+    """A pair of locks whose extents share a byte, one from ``side_a``
+    and one from ``side_b`` — both from ``side_a`` when ``side_b`` is
+    None — or None when there is no such pair.
+
+    A sweep over the locks sorted by the start of their hull (the
+    smallest range holding all their extents).  Each side keeps a heap,
+    by hull end, of the locks met so far whose hull reaches past the
+    current start: exactly the locks whose hull overlaps the current
+    one.  A hull hit only makes a pair suspicious (a datatype lock's
+    hull is far wider than its bytes); ``overlaps_extents`` decides.
+    O(n log n) plus one exact test per suspicious pair.
+    """
+    rows = []
+    for side, locks in enumerate((side_a, side_b or ())):
+        for lock in locks:
+            extents = lock.extents
+            hull = extents[0] if len(extents) == 1 else span(extents)
+            # An empty hull shares a byte with nothing.
+            if hull is not None and hull[0] < hull[1]:
+                rows.append((hull[0], len(rows), hull[1], side, lock))
+    rows.sort()
+    open_hulls: Tuple[list, list] = ([], [])
+    for lo, seq, hi, side, lock in rows:
+        facing = open_hulls[side if side_b is None else 1 - side]
+        while facing and facing[0][0] <= lo:
+            heappop(facing)
+        for _hi, _seq, earlier in facing:
+            if earlier.overlaps_extents(lock.extents):
+                return earlier, lock
+        heappush(open_hulls[side], (hi, seq, lock))
+    return None
 
 
 class LockValidator:
@@ -265,68 +320,96 @@ class LockValidator:
             raise LockInvariantViolation(
                 f"[I10] lock table index of {rid!r} is incoherent: {fault}")
 
-        # I1: pairwise compatibility (order-sensitive: check both ways —
-        # a pair is legal if EITHER direction is compatible, since grant
-        # order determines which one was the "request").
-        for i, a in enumerate(locks):
-            for b in locks[i + 1:]:
-                if not a.overlaps_extents(b.extents):
+        # The LCM sees only (mode, mode, state), so I1, I3 and I4 ask it
+        # once per (mode, state) class, not once per lock.  (Hashing an
+        # Enum is a Python-level call: look the class up only where it
+        # changes from one lock to the next.)
+        classes: Dict[Tuple[LockMode, LockState], List[ServerLock]] = {}
+        mode = state = None
+        for l in locks:
+            if l.mode is not mode or l.state is not state:
+                mode, state = l.mode, l.state
+                members = classes.setdefault((mode, state), [])
+            members.append(l)
+
+        keys = list(classes)
+        two_heads = None
+        for i, a_key in enumerate(keys):
+            for b_key in keys[i:]:
+                (a_mode, a_state), (b_mode, b_state) = a_key, b_key
+                # I1: pairwise compatibility.  A pair is legal if EITHER
+                # direction is compatible, since grant order determines
+                # which one was the "request".
+                legal = self.lcm(a_mode, b_mode, b_state) or \
+                    self.lcm(b_mode, a_mode, a_state)
+                # I3: at most one overlapping GRANTED write lock,
+                # whatever the LCM says.
+                heads = a_state is b_state is LockState.GRANTED and \
+                    is_write_mode(a_mode) and is_write_mode(b_mode)
+                if legal and not heads:
                     continue
-                ab = self.lcm(a.mode, b.mode, b.state)
-                ba = self.lcm(b.mode, a.mode, a.state)
-                if not (ab or ba):
+                pair = _overlapping_pair(
+                    classes[a_key],
+                    None if a_key == b_key else classes[b_key])
+                if pair is None:
+                    continue
+                a, b = pair
+                if not legal:
                     raise LockInvariantViolation(
                         f"[I1] incompatible granted pair on {rid!r}: "
                         f"{a.lock_id}({a.mode.value},{a.state.value}) vs "
                         f"{b.lock_id}({b.mode.value},{b.state.value})")
-
-        # I3: at most one overlapping GRANTED write lock.
-        writers = [l for l in locks if is_write_mode(l.mode)
-                   and l.state is LockState.GRANTED]
-        for i, a in enumerate(writers):
-            for b in writers[i + 1:]:
-                if a.overlaps_extents(b.extents):
-                    raise LockInvariantViolation(
-                        f"[I3] two GRANTED write locks overlap on {rid!r}:"
-                        f" {a.lock_id} and {b.lock_id}")
+                two_heads = two_heads or pair
+        if two_heads is not None:
+            raise LockInvariantViolation(
+                f"[I3] two GRANTED write locks overlap on {rid!r}:"
+                f" {two_heads[0].lock_id} and {two_heads[1].lock_id}")
 
         # I2 (static part): no granted SN at/above next_sn.
-        for l in locks:
-            if is_write_mode(l.mode) and l.sn >= res.next_sn:
-                raise LockInvariantViolation(
-                    f"[I2] granted write SN {l.sn} >= next_sn "
-                    f"{res.next_sn} on {rid!r}")
+        next_sn = res.next_sn
+        for (mode, _state), members in classes.items():
+            if not is_write_mode(mode):
+                continue
+            for l in members:
+                if l.sn >= next_sn:
+                    raise LockInvariantViolation(
+                        f"[I2] granted write SN {l.sn} >= next_sn "
+                        f"{next_sn} on {rid!r}")
 
-        # I5: no granted lock from a fenced incarnation.
+        # I5: no granted lock from a fenced incarnation (there is no
+        # floor at all until the first eviction).
         fence = self.server._fence
-        for l in locks:
-            floor = fence.get(l.client_name, 0)
-            if l.incarnation < floor:
-                raise LockInvariantViolation(
-                    f"[I5] granted lock {l.lock_id} on {rid!r} belongs to "
-                    f"fenced {l.client_name!r} incarnation "
-                    f"{l.incarnation} < {floor}")
+        if fence:
+            for l in locks:
+                floor = fence.get(l.client_name, 0)
+                if l.incarnation < floor:
+                    raise LockInvariantViolation(
+                        f"[I5] granted lock {l.lock_id} on {rid!r} belongs "
+                        f"to fenced {l.client_name!r} incarnation "
+                        f"{l.incarnation} < {floor}")
 
         # I6: a reclaimed grant never resurfaces within the epoch.
-        for lock_id in res.granted:
-            if (rid, lock_id) in self._evicted_grants:
-                raise LockInvariantViolation(
-                    f"[I6] evicted lock {lock_id} reappeared on {rid!r}")
+        evicted = self._evicted_grants
+        if evicted:
+            for lock_id in res.granted:
+                if (rid, lock_id) in evicted:
+                    raise LockInvariantViolation(
+                        f"[I6] evicted lock {lock_id} reappeared on {rid!r}")
 
         # I4: the queue head must be genuinely blocked.  Suspended
         # during a post-failover re-assertion hold-off: the new
         # incumbent deliberately parks grantable requests until every
         # surviving client has re-asserted (the hold-off expiry
         # re-processes every queue).
-        if getattr(self.server, "recovery_hold_until", 0.0) > \
-                self.server.sim.now:
-            return
-        if res.queue:
+        holding = getattr(self.server, "recovery_hold_until", 0.0) > \
+            self.server.sim.now
+        if res.queue and not holding:
             head = res.queue[0].msg
             blocked = any(
                 g.overlaps_extents(head.extents)
-                and not self.lcm(head.mode, g.mode, g.state)
-                for g in locks)
+                for (mode, state), members in classes.items()
+                if not self.lcm(head.mode, mode, state)
+                for g in members)
             if not blocked:
                 raise LockInvariantViolation(
                     f"[I4] queue head on {rid!r} is grantable but parked: "

@@ -1,9 +1,13 @@
 """Tests for the online lock-protocol invariant validator."""
 
+from unittest.mock import patch
+
 import pytest
 
 from repro.dlm import LockMode, LockState
-from repro.dlm.server import ServerLock
+from repro.dlm.extent import EOF
+from repro.dlm.messages import LockRequestMsg
+from repro.dlm.server import ServerLock, _Pending
 from repro.dlm.validator import (
     LockInvariantViolation,
     LockValidator,
@@ -209,6 +213,85 @@ def test_epoch_roll_clears_eviction_history():
     # reissued lock id passes I6 in the new epoch.
     rig.server._process(res2)
     assert ("r", 1) not in validator._evicted_grants
+
+
+# ------------------------------------------------ I4 and the hold-off
+def _park(res, mode, extents):
+    res.queue.append(_Pending(LockRequestMsg("r", mode, extents, "z"),
+                              None, 0.0))
+
+
+def test_i4_detects_grantable_head_left_parked():
+    rig = Rig(dlm="seqdlm", clients=1)
+    validator = LockValidator(rig.server)
+    res = _resource_of(rig)
+    res.next_sn = 10
+    res.granted[1] = ServerLock(1, "r", "a", NBW, ((0, 100),), 1, G)
+    _park(res, NBW, ((50, 60),))
+    validator.validate_resource(res)  # genuinely blocked
+    res.queue.clear()
+    _park(res, NBW, ((200, 300),))
+    with pytest.raises(LockInvariantViolation, match=r"\[I4\]"):
+        validator.validate_resource(res)
+
+
+def test_holdoff_suspends_i4_and_nothing_else():
+    """During the post-failover re-assertion hold-off the incumbent
+    parks grantable requests on purpose.  Only I4 stands down for it:
+    every other invariant is still checked on the same transition."""
+    rig = Rig(dlm="seqdlm", clients=1)
+    validator = LockValidator(rig.server)
+    res = _resource_of(rig)
+    res.next_sn = 10
+    res.granted[1] = ServerLock(1, "r", "a", NBW, ((0, 100),), 1, G)
+    _park(res, NBW, ((200, 300),))
+    rig.server.recovery_hold_until = rig.sim.now + 1.0
+    validator.validate_resource(res)  # parked on purpose: no raise
+    res.granted[2] = ServerLock(2, "r", "b", NBW, ((50, 150),), 2, G)
+    with pytest.raises(LockInvariantViolation, match=r"\[I1\]"):
+        validator.validate_resource(res)
+    del res.granted[2]
+    rig.server.recovery_hold_until = 0.0
+    with pytest.raises(LockInvariantViolation, match=r"\[I4\]"):
+        validator.validate_resource(res)
+
+
+# ------------------------------------------------ cost of one transition
+def _overlap_tests_for_chain(n):
+    """``overlaps_extents`` calls of one ``validate_resource`` over the
+    table early grant builds: ``n`` CANCELING NBW locks expanded to EOF
+    under one GRANTED head, with a blocked request queued (I4 has to
+    walk the chain: only its last lock and the head reach down to the
+    request)."""
+    rig = Rig(dlm="seqdlm", clients=1)
+    validator = LockValidator(rig.server)
+    res = _resource_of(rig)
+    res.next_sn = n + 10
+    for i in range(1, n + 1):
+        res.granted[i] = ServerLock(
+            i, "r", "a", NBW, (((n + 1 - i) * 64, EOF),), i, C)
+    res.granted[n + 1] = ServerLock(n + 1, "r", "b", NBW, ((0, EOF),),
+                                    n + 1, G)
+    _park(res, PW, ((64, 128),))
+    calls = [0]
+    real = ServerLock.overlaps_extents
+
+    def counting(lock, extents):
+        calls[0] += 1
+        return real(lock, extents)
+
+    with patch.object(ServerLock, "overlaps_extents", counting):
+        validator.validate_resource(res)  # legal: no raise
+    return calls[0]
+
+
+def test_exact_overlap_tests_grow_linearly_with_the_table():
+    """Eight times the locks may cost about eight times the exact
+    overlap tests — the pair scan made 64 times as many.  A count, not a
+    timing: it repeats exactly."""
+    small, large = _overlap_tests_for_chain(200), _overlap_tests_for_chain(1600)
+    assert small >= 200
+    assert large <= 10 * small
 
 
 # ------------------------------------------- I10: table/index coherence

@@ -99,12 +99,13 @@ GOLDEN_PATH = Path(__file__).parent / "golden_metrics.json"
 GOLDEN_SEEDS = [101, 202, 303]
 
 
-def _golden_case(dlm, seed):
+def _golden_case(dlm, seed, validate_locks=False):
     r = run_ior(IorConfig(
         pattern="n1-strided", clients=6, writes_per_client=12,
         xfer=8 * 1024, stripes=2,
         cluster=ClusterConfig(dlm=dlm, num_data_servers=2,
-                              content_mode="off", seed=seed)))
+                              content_mode="off", seed=seed,
+                              validate_locks=validate_locks)))
     return MetricsSnapshot.from_dict(r.metrics).to_json()
 
 
@@ -128,6 +129,19 @@ def test_metrics_match_seed_kernel_golden(dlm, seed):
     assert digest == table[key], (
         f"MetricsSnapshot for {key} diverged from the seed-kernel golden; "
         "the kernel fast path must be byte-identical to the original")
+
+
+@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+@pytest.mark.parametrize("dlm", DLMS)
+def test_golden_metrics_unchanged_under_the_validator(dlm, seed):
+    # The online validator (I1-I10 on every lock-server transition) is
+    # pure observation: switching it on must raise nothing on a correct
+    # run and leave the snapshot byte-identical to the committed golden.
+    table = json.loads(GOLDEN_PATH.read_text())
+    digest = _digest(_golden_case(dlm, seed, validate_locks=True))
+    assert digest == table[f"{dlm}/seed={seed}"], (
+        f"validate_locks=True changed the MetricsSnapshot for {dlm} "
+        f"seed={seed}; the validator must not perturb the run it watches")
 
 
 # ------------------------------------------------- sharded golden identity

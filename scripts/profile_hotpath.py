@@ -13,7 +13,8 @@ within a small factor of each other; before the indexed table
 scans of the granted locks in `dlm.server` and of the grant cache in
 `dlm.client`.  What is left at N = 320 is the locks that genuinely
 overlap each request (about 190 CANCELING [s, EOF) locks waiting for
-their flush), then the `sim` kernel, `net.rpc` and the extent map.
+their flush), then the `sim` kernel, `net.rpc` and the extent map's
+interval work (its byte count, `ExtentMap.covered_bytes`, is O(1)).
 
     python scripts/profile_hotpath.py [--writes N] [--sort tottime]
 """

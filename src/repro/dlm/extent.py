@@ -15,7 +15,9 @@ the wire:
 
 The map stores sorted, non-overlapping ``(start, end, sn)`` entries in
 parallel lists with ``bisect`` lookups; adjacent equal-SN entries are
-coalesced, mirroring the paper's 48-byte-entry cache with merging.
+coalesced, mirroring the paper's 48-byte-entry cache with merging.  It
+also keeps a running count of covered bytes, updated by each mutator from
+the pieces it already walks, so :meth:`ExtentMap.covered_bytes` is O(1).
 """
 
 from __future__ import annotations
@@ -80,14 +82,16 @@ def _coalesce(pieces: List[Extent]) -> List[Extent]:
 
 
 class ExtentMap:
-    """Sorted, non-overlapping ``(start, end, sn)`` entries."""
+    """Sorted, non-overlapping ``(start, end, sn)`` entries, plus a
+    running count of the bytes they cover."""
 
-    __slots__ = ("_starts", "_ends", "_sns")
+    __slots__ = ("_starts", "_ends", "_sns", "_covered")
 
     def __init__(self):
         self._starts: List[int] = []
         self._ends: List[int] = []
         self._sns: List[int] = []
+        self._covered = 0
 
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:
@@ -97,15 +101,19 @@ class ExtentMap:
         return list(zip(self._starts, self._ends, self._sns))
 
     def covered_bytes(self) -> int:
-        return sum(e - s for s, e in zip(self._starts, self._ends))
+        return self._covered
 
     def _check_invariants(self) -> None:
-        """Debug/property-test hook: sorted, non-overlapping, non-empty."""
+        """Debug/property-test hook: sorted, non-overlapping, non-empty,
+        and the running byte count equals a re-sum of the entries."""
         prev_end = -1
         for s, e in zip(self._starts, self._ends):
             assert s < e, "empty entry"
             assert s >= prev_end, "overlap or disorder"
             prev_end = e
+        assert self._covered == sum(
+            e - s for s, e in zip(self._starts, self._ends)), \
+            "covered-byte count drifted"
 
     # -- window location ----------------------------------------------------
     def _window(self, start: int, end: int) -> Tuple[int, int]:
@@ -192,6 +200,7 @@ class ExtentMap:
             if seg_s > cur:  # gap before this entry: incoming wins
                 updates.append((cur, seg_s))
                 result.append((cur, seg_s, sn))
+                self._covered += seg_s - cur
             seg_e = min(ee, end)
             if sn >= esn:
                 updates.append((seg_s, seg_e))
@@ -204,6 +213,7 @@ class ExtentMap:
         if cur < end:  # tail gap
             updates.append((cur, end))
             result.append((cur, end, sn))
+            self._covered += end - cur
         self._replace(lo, hi, result)
         return _coalesce(updates)
 
@@ -219,11 +229,14 @@ class ExtentMap:
         for es, ee, esn in window:
             if es < start:
                 keep.append((es, start, esn))
-            taken.append((max(es, start), min(ee, end), esn))
+            ts, te = max(es, start), min(ee, end)
+            if ts < te:
+                taken.append((ts, te, esn))
+                self._covered -= te - ts
             if ee > end:
                 keep.append((end, ee, esn))
         self._replace(lo, hi, keep)
-        return [t for t in taken if t[0] < t[1]]
+        return taken
 
     def drop_where(self, pred: Callable[[int, int, int], bool]) -> int:
         """Remove whole entries satisfying ``pred(start, end, sn)``;
@@ -235,9 +248,11 @@ class ExtentMap:
         self._starts = [k[0] for k in kept]
         self._ends = [k[1] for k in kept]
         self._sns = [k[2] for k in kept]
+        self._covered = sum(e - s for s, e, _sn in kept)
         return dropped
 
     def clear(self) -> None:
         self._starts.clear()
         self._ends.clear()
         self._sns.clear()
+        self._covered = 0

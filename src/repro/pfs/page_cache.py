@@ -163,7 +163,7 @@ class ClientCache:
         self._dirty_bytes += entry.dirty.covered_bytes() - before
         if self._dirty_bytes >= self.max_dirty:
             self.gate.close()
-        elif self.gate is not None and self._dirty_bytes < self.max_dirty:
+        else:
             self.gate.open()
         if self._dirty_bytes >= self.min_dirty:
             self.flush_signal.open()

@@ -178,9 +178,27 @@ def test_drop_where():
 
 def test_covered_bytes():
     m = ExtentMap()
+    assert m.covered_bytes() == 0
     m.merge(0, 10, 1)
     m.merge(20, 25, 1)
     assert m.covered_bytes() == 15
+    m.merge(5, 22, 2)  # overwrite [5,10) and [20,22), fill the gap
+    assert m.covered_bytes() == 25
+    m.merge(0, 25, 0)  # older everywhere: coverage unchanged
+    assert m.covered_bytes() == 25
+    m.merge(7, 7, 9)  # zero-length
+    assert m.covered_bytes() == 25
+    assert m.extract(8, 12) == [(8, 12, 2)]
+    assert m.covered_bytes() == 21
+    m.extract(8, 12)  # window already empty
+    assert m.covered_bytes() == 21
+    assert m.drop_where(lambda s, e, sn: sn == 1) == 2  # [0,5) and [22,25)
+    assert m.covered_bytes() == 13
+    m._check_invariants()
+    m.clear()
+    assert m.covered_bytes() == 0
+    m.merge(100, EOF, 3)
+    assert m.covered_bytes() == EOF - 100
 
 
 def test_clear():

@@ -112,3 +112,55 @@ def test_sn_limited_invalidate_keeps_newer_data(ops):
     for s, e, _sn in entry.versions.entries():
         covered[s:min(e, SPACE)] = True
     assert np.array_equal(covered, oracle_sn > K)
+
+
+# -- byte counters under a random call mix -------------------------------
+KEYS = [("f", 0), ("f", 1)]
+keys = st.sampled_from(KEYS)
+windows = st.tuples(st.integers(0, SPACE), st.integers(0, SPACE)).map(
+    lambda t: (min(t), max(t)))
+cache_calls = st.lists(st.one_of(
+    st.tuples(st.just("write"), keys, st.integers(0, SPACE - 8),
+              st.integers(1, 8), st.integers(1, 9)),
+    st.tuples(st.just("extract"), keys, windows),
+    st.tuples(st.just("restore")),
+    st.tuples(st.just("invalidate"), keys, windows,
+              st.one_of(st.none(), st.integers(0, 9))),
+    st.tuples(st.just("drop_all")),
+), min_size=1, max_size=40)
+
+
+def _resum(cache, attr):
+    return sum(e - s for entry in cache._entries.values()
+               for s, e, _sn in getattr(entry, attr).entries())
+
+
+@given(cache_calls, st.sampled_from([None, 48, 96]))
+@settings(max_examples=150, deadline=None)
+def test_byte_counters_match_resum(calls, max_cached):
+    """``dirty_bytes`` and ``cached_bytes`` equal a by-hand re-sum of the
+    dirty and versions maps after every call (with ``max_cached`` set,
+    ``_reclaim`` runs too).  A drifting count would move the §IV-C1
+    write gate and flush signal."""
+    sim = Simulator()
+    cache = ClientCache(sim, track_content=False, min_dirty=16,
+                        max_dirty=32, max_cached=max_cached)
+    extracted = []
+    for call in calls:
+        if call[0] == "write":
+            _, key, off, length, sn = call
+            cache.write(key, off, length, sn)
+        elif call[0] == "extract":
+            _, key, window = call
+            extracted.append((key, cache.extract_dirty(key, (window,))))
+        elif call[0] == "restore":
+            if extracted:
+                cache.restore_dirty(*extracted.pop())
+        elif call[0] == "invalidate":
+            _, key, window, up_to_sn = call
+            cache.invalidate(key, (window,), up_to_sn=up_to_sn)
+        else:
+            cache.drop_all()
+            extracted.clear()
+        assert cache.dirty_bytes == _resum(cache, "dirty")
+        assert cache.cached_bytes == _resum(cache, "versions")

@@ -8,7 +8,7 @@ system's data safety rests on (Fig. 14/15 both reduce to this map).
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.dlm.extent import ExtentMap
+from repro.dlm.extent import EOF, ExtentMap
 
 SPACE = 256  # small byte space keeps shrinking fast
 
@@ -135,3 +135,78 @@ def test_coalescing_keeps_entries_minimal(op_list):
     entries = emap.entries()
     for (s1, e1, sn1), (s2, e2, sn2) in zip(entries, entries[1:]):
         assert not (e1 == s2 and sn1 == sn2), "uncoalesced neighbours"
+
+
+# -- running byte count --------------------------------------------------
+# Windows may be empty and may end at EOF.  The oracle keeps one extra
+# cell for the whole ``[SPACE, EOF)`` tail: every window either covers
+# the tail or misses it, so a single SN describes it exactly.
+TAIL = EOF - SPACE
+
+windows = st.tuples(st.integers(0, SPACE), st.integers(0, SPACE),
+                    st.booleans()).map(
+    lambda t: (min(t[:2]), EOF if t[2] else max(t[:2])))
+count_ops = st.lists(st.one_of(
+    st.tuples(st.just("merge"), windows, st.integers(0, 15)),
+    st.tuples(st.just("extract"), windows),
+    st.tuples(st.just("drop"), st.frozensets(st.integers(0, 15))),
+    st.tuples(st.just("clear")),
+), max_size=40)
+
+
+def _cells(s, e):
+    """Oracle slice of window ``[s, e)``: byte cells plus the tail cell."""
+    return slice(s, SPACE + 1 if e == EOF else e)
+
+
+def _oracle_count(cells):
+    covered = cells >= 0
+    return int(covered[:SPACE].sum()) + (TAIL if covered[SPACE] else 0)
+
+
+@given(count_ops)
+@settings(max_examples=200, deadline=None)
+def test_covered_bytes_matches_oracle(op_list):
+    """The O(1) running count agrees with a byte-level oracle after every
+    merge / extract / drop_where / clear."""
+    emap = ExtentMap()
+    cells = np.full(SPACE + 1, -1, dtype=np.int64)
+    for op in op_list:
+        before = emap.covered_bytes()
+        if op[0] == "merge":
+            (s, e), sn = op[1], op[2]
+            emap.merge(s, e, sn)
+            region = cells[_cells(s, e)]
+            region[region <= sn] = sn
+        elif op[0] == "extract":
+            s, e = op[1]
+            taken = emap.extract(s, e)
+            assert before - emap.covered_bytes() == sum(
+                te - ts for ts, te, _sn in taken)
+            cells[_cells(s, e)] = -1
+        elif op[0] == "drop":
+            gone = op[1]
+            emap.drop_where(lambda s, e, sn: sn in gone)
+            cells[np.isin(cells, list(gone))] = -1
+        else:
+            emap.clear()
+            cells[:] = -1
+        assert emap.covered_bytes() == _oracle_count(cells)
+        emap._check_invariants()
+
+
+def test_covered_bytes_eof_extents():
+    """Extents ending at EOF count ``e - s`` bytes, not the oracle's 256."""
+    emap = ExtentMap()
+    emap.merge(10, EOF, 1)
+    assert emap.covered_bytes() == EOF - 10
+    emap.merge(0, 20, 2)
+    assert emap.covered_bytes() == EOF
+    emap.merge(5, 5, 3)
+    emap.extract(50, 50)
+    assert emap.covered_bytes() == EOF
+    assert emap.extract(100, EOF) == [(100, EOF, 1)]
+    assert emap.covered_bytes() == 100
+    emap.drop_where(lambda s, e, sn: sn == 2)
+    assert emap.covered_bytes() == 80
+    emap._check_invariants()

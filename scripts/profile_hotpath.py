@@ -2,42 +2,129 @@
 """Profile the simulator's hot path (the optimisation workflow of the
 scientific-Python guides: measure before touching anything).
 
-Runs the benchmark's `strided_hot` shape (16 clients x N strided 64 KiB
-writes on one stripe, seqdlm; N = 320 in `bench/`) under cProfile and
-prints the top functions by cumulative or internal time.  First it
-prints the scaling figure that matters for the lock table: host
+Runs one of the benchmark's IOR shapes under cProfile and prints the top
+functions by cumulative or internal time:
+
+* ``strided`` (default) — `strided_hot`: 16 clients x N strided 64 KiB
+  writes on one stripe, seqdlm; N = 320 in `bench/`;
+* ``segmented`` — `segmented_stream`: 16 clients x N segmented 4 KiB
+  writes on 4 stripes, then each client reads another client's segment
+  cold; N = 3072 in `bench/`.
+
+First it prints the scaling figure that matters for the lock table: host
 microseconds per write at 20 and at N writes per client, unprofiled.
 With a lock table whose cost does not grow with its size the two are
 within a small factor of each other; before the indexed table
-(`repro.dlm.server.LockTable`) they were 6x apart, all of it linear
-scans of the granted locks in `dlm.server` and of the grant cache in
-`dlm.client`.  What is left at N = 320 is the locks that genuinely
-overlap each request (about 190 CANCELING [s, EOF) locks waiting for
-their flush), then the `sim` kernel, `net.rpc` and the extent map's
-interval work (its byte count, `ExtentMap.covered_bytes`, is O(1)).
+(`repro.dlm.server.LockTable`) they were 6x apart on `strided`, all of
+it linear scans of the granted locks in `dlm.server` and of the grant
+cache in `dlm.client`.  What is left at N = 320 is the locks that
+genuinely overlap each request (about 190 CANCELING [s, EOF) locks
+waiting for their flush), then the `sim` kernel, `net.rpc` and the
+extent map's interval work.
 
-    python scripts/profile_hotpath.py [--writes N] [--sort tottime]
+``--events`` replaces the profile with a count: every kernel event the
+run processes, keyed by event class plus the callback it runs or the
+process it resumes, divided by the number of client reads and writes.
+That is the model-side cost of an op, independent of the host; the
+totals equal the run's `sim.events`.
+
+    python scripts/profile_hotpath.py [--shape segmented] [--writes N]
+                                      [--sort tottime] [--events]
 """
 
 import argparse
 import cProfile
 import pstats
+import re
 import sys
 import time
+from collections import Counter
 
 
-def workload(writes: int):
+def workload(writes: int, shape: str = "strided"):
     from repro.pfs import ClusterConfig
     from repro.workloads import IorConfig, run_ior
 
+    if shape == "segmented":
+        return run_ior(IorConfig(
+            pattern="n1-segmented", clients=16, writes_per_client=writes,
+            xfer=4096, stripes=4, read_phase=True,
+            cluster=ClusterConfig(dlm="seqdlm", num_data_servers=4,
+                                  content_mode="checksum")))
     return run_ior(IorConfig(
         pattern="n1-strided", clients=16, writes_per_client=writes,
         xfer=64 * 1024, stripes=1,
         cluster=ClusterConfig(dlm="seqdlm", content_mode="off")))
 
 
+def _name(proc) -> str:
+    """A process name with node and client indices folded together."""
+    return re.sub(r"\d+", "#", proc.name)
+
+
+def event_kind(entry) -> str:
+    """Event class plus the callback it runs (or the process it starts,
+    resumes or completes) for one schedule entry."""
+    from repro.sim.core import Process
+
+    ev = entry[3]
+    if ev is None:
+        return f"delay -> {_name(entry[4])}"
+    cls = type(ev).__name__
+    if isinstance(ev, Process):
+        return f"{cls} {_name(ev)} done"
+    if not ev.callbacks:
+        return f"{cls} (no callback)"
+    callback = ev.callbacks[0]
+    owner = getattr(callback, "__self__", None)
+    if isinstance(owner, Process):
+        return f"{cls} -> {_name(owner)}"
+    return f"{cls} {getattr(callback, '__qualname__', repr(callback))}"
+
+
+def count_events(run):
+    """Run ``run()`` with the kernel stepping one event at a time, and
+    return its result with a Counter of the event kinds it processed."""
+    from repro.sim.core import SimulationError, Simulator
+
+    kinds: Counter = Counter()
+    fast = Simulator.run_until_event
+
+    def stepping(sim, event, max_events=None):
+        while not event._processed:
+            head, _lane = sim._select()
+            if head is None:
+                raise SimulationError("deadlock: event can never trigger")
+            kinds[event_kind(head)] += 1
+            sim.step()
+
+    Simulator.run_until_event = stepping
+    try:
+        result = run()
+    finally:
+        Simulator.run_until_event = fast
+    return result, kinds
+
+
+def print_events(writes: int, shape: str) -> None:
+    result, kinds = count_events(lambda: workload(writes, shape))
+    metrics = result.metrics["metrics"]
+    ops = (metrics["pfs.client.writes"]["value"]
+           + metrics["pfs.client.reads"]["value"])
+    total = sum(kinds.values())
+    print(f"{shape}, {writes} writes/client: {total} events for {ops} "
+          f"ops, {total / ops:.2f} per op "
+          f"(sim.events {metrics['sim.events']['value']})\n")
+    print(f"{'events':>9} {'per op':>7}  kind")
+    for kind, n in kinds.most_common():
+        print(f"{n:9d} {n / ops:7.3f}  {kind}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
+    parser.add_argument("--shape", default="strided",
+                        choices=("strided", "segmented"),
+                        help="which benchmark shape to run")
     parser.add_argument("--writes", type=int, default=320,
                         help="writes per client (default 320, the "
                              "benchmark's strided_hot)")
@@ -45,12 +132,19 @@ def main() -> int:
                         choices=("cumulative", "tottime", "ncalls"),
                         help="pstats sort key")
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--events", action="store_true",
+                        help="count kernel events per op by kind instead "
+                             "of profiling")
     args = parser.parse_args()
 
-    workload(8)  # imports and first-call caches are not the measurement
+    if args.events:
+        print_events(args.writes, args.shape)
+        return 0
+
+    workload(8, args.shape)  # imports and first-call caches are not the measurement
     for writes in (20, args.writes):
         t0 = time.perf_counter()
-        workload(writes)
+        workload(writes, args.shape)
         host = time.perf_counter() - t0
         print(f"{writes:4d} writes/client: {host:6.2f} s host, "
               f"{host / (16 * writes) * 1e6:6.0f} us per write")
@@ -58,10 +152,10 @@ def main() -> int:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    result = workload(args.writes)
+    result = workload(args.writes, args.shape)
     profiler.disable()
 
-    print(f"simulated: {result.bytes_written / 2**20:.0f} MB strided, "
+    print(f"simulated: {result.bytes_written / 2**20:.0f} MB written, "
           f"bandwidth {result.bandwidth / 1e9:.2f} GB/s "
           f"(simulated time {result.total_time * 1e3:.1f} ms)\n")
     stats = pstats.Stats(profiler, stream=sys.stdout)

@@ -188,6 +188,26 @@ class ExtentMap:
         if start >= end:
             return []
         lo, hi = self._window(start, end)
+        if lo == hi:
+            # Wholly in a gap (every append and every read-miss fill):
+            # insert in place, or grow an equal-SN neighbour that touches
+            # the range — the same entries the general splice produces.
+            starts, ends, sns = self._starts, self._ends, self._sns
+            self._covered += end - start
+            left = lo > 0 and ends[lo - 1] == start and sns[lo - 1] == sn
+            right = lo < len(starts) and starts[lo] == end and sns[lo] == sn
+            if left and right:  # bridge: the two neighbours become one
+                ends[lo - 1] = ends[lo]
+                del starts[lo], ends[lo], sns[lo]
+            elif left:
+                ends[lo - 1] = end
+            elif right:
+                starts[lo] = start
+            else:
+                starts.insert(lo, start)
+                ends.insert(lo, end)
+                sns.insert(lo, sn)
+            return [(start, end)]
         window = [(self._starts[k], self._ends[k], self._sns[k])
                   for k in range(lo, hi)]
         result: List[Tuple[int, int, int]] = []

@@ -24,7 +24,7 @@ from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro._compat import DATACLASS_KW
-from repro.sim.core import Event, SimulationError, Simulator
+from repro.sim.core import NORMAL, Event, SimulationError, Simulator
 
 __all__ = ["NetworkConfig", "Message", "Node", "Fabric",
            "UnknownServiceError"]
@@ -287,24 +287,28 @@ class Fabric:
             times = injector.deliveries(msg, deliver_at)
         else:
             times = (deliver_at,)
+        # Each delivery is one plain event that carries the message and
+        # runs _on_arrival, pushed under the same (time, NORMAL, seq) key
+        # a sim.timeout(t - now) would get.
+        arrive = self._on_arrival
         part = self._partition_of
         if part is not None and src is not dst and \
                 part.get(src.name, 0) != part.get(dst.name, 0):
             # Cross-partition delivery: assign the schedule key now —
-            # identical seq / pending / watermark accounting to the
-            # sim.timeout() path below — but park the entry in the
-            # destination partition's exchange buffer for the next
-            # window barrier.  Safe because deliver_at >= now +
-            # lookahead() >= the current window's horizon.
+            # identical seq / pending / watermark accounting to the live
+            # path below — but park the entry in the destination
+            # partition's exchange buffer for the next window barrier.
+            # Safe because deliver_at >= now + lookahead() >= the
+            # current window's horizon.
             buf = self._exchange[part.get(dst.name, 0)]
             for t in times:
                 self.deliveries_scheduled += 1
                 self.exchange_parked += 1
                 ev = Event(sim)
-                ev._value = None
-                ev.callbacks.append(lambda _ev, m=msg: self._deliver(m))
+                ev._value = msg
+                ev.callbacks.append(arrive)
                 sim._seq += 1
-                buf.append((t, 1, sim._seq, ev))
+                buf.append((t, NORMAL, sim._seq, ev))
                 p = sim._pending + 1
                 sim._pending = p
                 if p > sim._max_queue_len:
@@ -312,11 +316,14 @@ class Fabric:
             return deliver_at
         for t in times:
             self.deliveries_scheduled += 1
-            ev = sim.timeout(t - now)
-            ev.add_callback(lambda _ev, m=msg: self._deliver(m))
+            ev = Event(sim)
+            ev._value = msg
+            ev.callbacks.append(arrive)
+            sim._push_delayed(ev, t - now, NORMAL)
         return deliver_at
 
-    def _deliver(self, msg: Message) -> None:
+    def _on_arrival(self, ev: Event) -> None:
+        msg = ev._value
         self.messages_delivered += 1
         self.bytes_delivered += msg.nbytes
         msg.dst.deliver(msg)

@@ -5,9 +5,12 @@ Mirrors the shape of the paper's CaRT stack:
 * every server-side service drains its inbox through a single dispatcher
   that charges ``1/ops`` per request — this is the 213 kOPS serialization
   point measured in §V-A, and the ``1/(OPS*D)`` term of Equation (1);
-* handlers run as their own simulation processes after dispatch, so a lock
-  server can keep a request queued for an arbitrary time (normal grant
-  waiting on a conflicting lock) without blocking unrelated requests;
+* the dispatcher calls each handler synchronously; a handler that returns
+  a generator gets one simulation process of its own (the generator runs
+  inside it via ``yield from``), so a slow handler never blocks the
+  dispatcher, and a lock server can keep a request queued for an
+  arbitrary time (normal grant waiting on a conflicting lock) without
+  blocking unrelated requests;
 * responses are explicit (:meth:`Request.respond`), supporting both the
   immediate-reply style (data-server IO) and the deferred-grant style
   (lock servers).
@@ -261,6 +264,7 @@ class RpcService:
         if dedup:
             self.enable_dedup(dedup_capacity, dedup_ttl)
         self.halted = False
+        self._handler_name = f"{name}-handler"
         node.register_service(name, self._enqueue)
         self._dispatcher = self.sim.spawn(self._dispatch(),
                                           name=f"{node.name}/{name}")
@@ -408,10 +412,13 @@ class RpcService:
             result = self.handler(req)
             if result is not None:
                 sim.spawn(self._run_handler(req, result),
-                          name=f"{self.name}-handler")
+                          name=self._handler_name)
 
     def _run_handler(self, req: Request, gen: Generator) -> Generator:
-        ret = yield self.sim.spawn(gen)
+        # The handler runs inside this one process: an exception it raises
+        # fails the process and surfaces from the run loop, as it would
+        # from a separately spawned one.
+        ret = yield from gen
         if ret is not None and not req.responded:
             payload, nbytes = ret
             req.respond(payload, nbytes)

@@ -53,8 +53,16 @@ class StripeLayout:
         return stripe, local
 
     def map_extent(self, offset: int, length: int) -> List[Fragment]:
-        """Split a file extent into per-stripe fragments, merging the
-        chunks that land adjacently in the same stripe."""
+        """Split a file extent into per-stripe fragments, in file order.
+
+        Only chunks that are *consecutive in that list* and contiguous in
+        the same stripe are merged, which happens only with
+        ``stripe_count == 1``.  With several stripes an extent spanning
+        several rounds yields one fragment per stripe per round, even
+        though each stripe's fragments are contiguous in stripe-local
+        space: ``StripeLayout(4, 100).map_extent(0, 800)`` gives 8
+        fragments, two per stripe.  :meth:`stripe_extents` gives the one
+        covering extent per stripe."""
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be >= 0")
         raw: List[Fragment] = []
@@ -67,8 +75,8 @@ class StripeLayout:
             raw.append(Fragment(stripe, local, pos, take))
             pos += take
             remaining -= take
-        # Merge fragments that are contiguous within a stripe (always the
-        # case for a contiguous file extent, see module docstring).
+        # Merge list-adjacent fragments that are contiguous within one
+        # stripe (consecutive chunks of a single-stripe layout).
         merged: List[Fragment] = []
         for frag in raw:
             prev = merged[-1] if merged else None

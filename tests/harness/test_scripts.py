@@ -42,6 +42,24 @@ def test_profile_hotpath_runs(monkeypatch, capsys):
     assert "us per write" in out  # the 20-vs-N scaling figure
 
 
+def test_profile_hotpath_events_mode_accounts_for_every_event(monkeypatch,
+                                                             capsys):
+    code = run_script("scripts/profile_hotpath.py",
+                      ["--events", "--shape", "segmented", "--writes", "4"],
+                      monkeypatch)
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    # "segmented, 4 writes/client: T events for 128 ops, X per op
+    #  (sim.events T)" — the per-kind counts sum to the run's sim.events.
+    head = lines[0].split()
+    total, ops = int(head[3]), int(head[6])
+    assert ops == 16 * 4 * 2
+    assert lines[0].endswith(f"(sim.events {total})")
+    rows = [line.split(None, 2) for line in lines[3:] if line.strip()]
+    assert sum(int(n) for n, _per_op, _kind in rows) == total
+    assert any(kind == "Event Fabric._on_arrival" for *_n, kind in rows)
+
+
 def test_bench_record_appends_and_reports_delta(tmp_path, monkeypatch,
                                                 capsys):
     """`--from` turns a `bench/run.py --out` file into one history line;

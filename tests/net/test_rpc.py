@@ -214,3 +214,94 @@ def test_requests_handled_counter():
     sim.spawn(caller(sim))
     sim.run()
     assert svc.requests_handled == 4
+
+
+# ---------------------------------------------- generator-handler semantics
+# A generator handler runs inside the one process the dispatcher spawns
+# for it (``yield from``); these pin what callers can observe of that.
+
+def test_generator_return_responds_exactly_once():
+    sim, fab, client, server = setup_pair()
+
+    def handler(req):
+        def work():
+            yield 1e-3
+            return ("done", 4096)
+        return work()
+
+    svc = RpcService(server, "svc", handler)
+    got = []
+
+    def caller(sim):
+        got.append((yield rpc_call(client, server, "svc", None)))
+
+    sim.spawn(caller(sim))
+    sim.run()
+    assert got == ["done"]
+    assert server.messages_sent == 1
+    assert client.messages_received == 1
+    assert client.bytes_received == 4096
+    assert svc.requests_handled == 1
+
+
+@pytest.mark.parametrize("returns", [None, ("late", 128)])
+def test_explicit_respond_is_not_followed_by_a_second_reply(returns):
+    sim, fab, client, server = setup_pair()
+
+    def handler(req):
+        def work():
+            yield 1e-3
+            req.respond("early")
+            yield 1e-3
+            return returns
+        return work()
+
+    RpcService(server, "svc", handler)
+    got = []
+
+    def caller(sim):
+        got.append((yield rpc_call(client, server, "svc", None)))
+
+    sim.spawn(caller(sim))
+    sim.run()
+    assert got == ["early"]
+    assert server.messages_sent == 1
+    assert fab.messages_delivered == 2  # the request and one reply
+
+
+def test_exception_in_generator_handler_surfaces_from_run():
+    sim, fab, client, server = setup_pair()
+
+    class HandlerBug(Exception):
+        pass
+
+    def handler(req):
+        def work():
+            yield 1e-3
+            raise HandlerBug(req.payload)
+        return work()
+
+    RpcService(server, "svc", handler)
+    rpc_call(client, server, "svc", "boom")
+    with pytest.raises(HandlerBug, match="boom"):
+        sim.run()
+
+
+def test_injected_duplicate_delivers_the_same_message_twice():
+    from repro.faults import FaultConfig, FaultInjector, FaultPlan
+
+    sim, fab, client, server = setup_pair()
+    FaultInjector(FaultPlan(FaultConfig(duplicate_rate=1.0,
+                                        duplicate_lag=1e-4),
+                            seed=1)).attach(fab)
+    seen = []
+    RpcService(server, "note",
+               lambda req: seen.append((sim.now, req.msg)))
+    one_way(client, server, "note", "twice")
+    sim.run()
+    assert fab.deliveries_scheduled == 2
+    assert fab.messages_delivered == 2
+    assert server.messages_received == 2
+    (t1, m1), (t2, m2) = seen
+    assert m1 is m2 and m1.payload == "twice"
+    assert t2 - t1 == pytest.approx(1e-4)

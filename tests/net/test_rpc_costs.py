@@ -1,9 +1,12 @@
-"""Tests for weighted RPC dispatch costs (the one-way discount)."""
+"""Tests for weighted RPC dispatch costs (the one-way discount) and for
+the kernel events one client operation costs."""
 
 import pytest
 
 from repro.net import Fabric, NetworkConfig, RpcService, one_way, rpc_call
+from repro.pfs import Cluster, ClusterConfig
 from repro.sim import Simulator
+from repro.workloads import IorConfig, run_ior
 
 
 def make_rig(cost_fn, ops=100.0):
@@ -73,3 +76,71 @@ def test_lock_server_discounts_one_way_control():
     assert ls._dispatch_cost(FakeMsg(LockRequestMsg(
         "r", LockMode.NBW, ((0, 1),), "c"))) == 1.0
     assert ls._dispatch_cost(FakeMsg(ReleaseMsg(1, "r"))) == 0.25
+
+
+# -------------------------------------------------------- events per op
+# These count kernel events, they do not time anything.  Host time per op
+# tracks the event count, so a change that adds a process, a timer or a
+# hop to the read or write path shows up here as a different number.
+
+def _op_events(sim, gen):
+    """Kernel events ``gen`` costs, run as its own process to completion
+    (less the two that process itself adds: start and completion)."""
+    proc = sim.spawn(gen)
+    before = sim.events_processed
+    sim.run_until_event(proc)
+    return sim.events_processed - before - 2
+
+
+@pytest.fixture
+def warm_client():
+    """One client and one data server; the client already holds a cached
+    read lock and a cached write lock on the file's single stripe."""
+    cluster = Cluster(ClusterConfig(
+        num_data_servers=1, num_clients=1, dlm="seqdlm",
+        stripe_size=1 << 20, content_mode="off", start_cleaner=False))
+    cluster.create_file("/f", stripe_count=1)
+    client = cluster.clients[0]
+    box = {}
+
+    def setup():
+        box["fh"] = yield from client.open("/f")
+        yield from client.read(box["fh"], 0, 4096)
+        yield from client.write(box["fh"], 1 << 16, nbytes=4096)
+
+    _op_events(cluster.sim, setup())
+    return cluster.sim, client, box["fh"]
+
+
+def test_cold_read_with_cached_lock_costs_nine_events(warm_client):
+    # Lock cache hit, data miss: one IoReadMsg round trip to the data
+    # server.  The RPC handler runs inside the one process its dispatcher
+    # spawns (11 events when it spawned a second one and joined it).
+    sim, client, fh = warm_client
+    assert _op_events(sim, client.read(fh, 8192, 4096)) == 9
+    assert _op_events(sim, client.read(fh, 16384, 4096)) == 9
+    # The same range again is a cache hit: the memory copy only.
+    assert _op_events(sim, client.read(fh, 16384, 4096)) == 1
+
+
+def test_cache_hit_write_costs_two_events(warm_client):
+    # The max-dirty gate and the memory copy; no message leaves the node.
+    sim, client, fh = warm_client
+    assert _op_events(sim, client.write(fh, 1 << 16, nbytes=4096)) == 2
+    assert _op_events(sim, client.write(fh, (1 << 16) + 4096,
+                                         nbytes=4096)) == 2
+
+
+def test_small_segmented_run_event_count_is_pinned():
+    # The benchmark's segmented_stream shape at a fraction of its size,
+    # without the seed-drawn testbed jitter: 256 writes + 256 cold reads.
+    result = run_ior(IorConfig(
+        pattern="n1-segmented", clients=4, writes_per_client=64, xfer=4096,
+        stripes=4, read_phase=True,
+        cluster=ClusterConfig(dlm="seqdlm", num_data_servers=4,
+                              content_mode="checksum")))
+    metrics = result.metrics["metrics"]
+    assert metrics["pfs.client.writes"]["value"] == 256
+    assert metrics["pfs.client.reads"]["value"] == 256
+    assert metrics["fabric.messages_delivered"]["value"] == 573
+    assert metrics["sim.events"]["value"] == 3079

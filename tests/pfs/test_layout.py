@@ -46,6 +46,21 @@ def test_map_extent_merges_same_stripe_chunks():
     assert len(frags1) == 1 and frags1[0].length == 4 * MB
 
 
+def test_map_extent_keeps_one_fragment_per_stripe_per_round():
+    """Only list-adjacent chunks merge: an extent spanning two rounds of
+    four stripes gives two fragments per stripe (one IoReadMsg each on a
+    cold read), although each pair is contiguous in stripe-local space.
+    Merging them would change the simulated message count."""
+    lay = StripeLayout(4, 100)
+    frags = lay.map_extent(0, 800)
+    assert [(f.stripe, f.local_offset, f.file_offset, f.length)
+            for f in frags] == [
+        (0, 0, 0, 100), (1, 0, 100, 100), (2, 0, 200, 100),
+        (3, 0, 300, 100), (0, 100, 400, 100), (1, 100, 500, 100),
+        (2, 100, 600, 100), (3, 100, 700, 100)]
+    assert lay.stripe_extents(0, 800) == {s: (0, 200) for s in range(4)}
+
+
 def test_contiguous_file_extent_gives_contiguous_local_extents():
     lay = StripeLayout(4, MB)
     exts = lay.stripe_extents(512 * 1024, 8 * MB)

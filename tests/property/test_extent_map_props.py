@@ -5,10 +5,13 @@ ExtentMap query must agree with it.  This is the invariant the whole
 system's data safety rests on (Fig. 14/15 both reduce to this map).
 """
 
+import random
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dlm.extent import EOF, ExtentMap
+from repro.dlm.extent import EOF, ExtentMap, _coalesce
 
 SPACE = 256  # small byte space keeps shrinking fast
 
@@ -209,4 +212,146 @@ def test_covered_bytes_eof_extents():
     assert emap.covered_bytes() == 100
     emap.drop_where(lambda s, e, sn: sn == 2)
     assert emap.covered_bytes() == 80
+    emap._check_invariants()
+
+
+# -- gap-insert fast path vs the general splice ----------------------------
+# ``merge`` inserts a range that overlaps no entry in place (or grows an
+# equal-SN neighbour it touches).  The general splice it skips stays here
+# as the reference: on every seeded merge both must leave the same
+# entries, return the same update set and count the same bytes.
+
+def _splice_merge(emap, start, end, sn):
+    """``ExtentMap.merge`` without the gap fast path: walk the window,
+    build the replacement entries, splice them in with ``_replace``."""
+    if start >= end:
+        return []
+    lo, hi = emap._window(start, end)
+    window = [(emap._starts[k], emap._ends[k], emap._sns[k])
+              for k in range(lo, hi)]
+    result, updates, cur = [], [], start
+    for es, ee, esn in window:
+        if es < start:
+            result.append((es, start, esn))
+        seg_s = max(es, start)
+        if seg_s > cur:
+            updates.append((cur, seg_s))
+            result.append((cur, seg_s, sn))
+            emap._covered += seg_s - cur
+        seg_e = min(ee, end)
+        if sn >= esn:
+            updates.append((seg_s, seg_e))
+            result.append((seg_s, seg_e, sn))
+        else:
+            result.append((seg_s, seg_e, esn))
+        if ee > end:
+            result.append((end, ee, esn))
+        cur = seg_e
+    if cur < end:
+        updates.append((cur, end))
+        result.append((cur, end, sn))
+        emap._covered += end - cur
+    emap._replace(lo, hi, result)
+    return _coalesce(updates)
+
+
+def _gap_cases(emap, start, end, sn):
+    """The fast-path cases merging ``[start, end)`` at ``sn`` exercises
+    (empty set: the range overlaps an entry, the general path runs)."""
+    lo, hi = emap._window(start, end)
+    if lo != hi:
+        return set()
+    if not len(emap):
+        return {"empty map"}
+    touch_l = lo > 0 and emap._ends[lo - 1] == start
+    touch_r = lo < len(emap) and emap._starts[lo] == end
+    left = touch_l and emap._sns[lo - 1] == sn
+    right = touch_r and emap._sns[lo] == sn
+    cases = {(False, False): "isolated", (True, False): "left coalesce",
+             (False, True): "right coalesce",
+             (True, True): "bridge"}[left, right]
+    cases = {cases}
+    if (touch_l and not left) or (touch_r and not right):
+        cases.add("different-SN neighbour")
+    if end == EOF or (right and emap._ends[lo] == EOF):
+        cases.add("EOF-adjacent")
+    return cases
+
+
+GAP_CASES = {"empty map", "isolated", "left coalesce", "right coalesce",
+             "bridge", "different-SN neighbour", "EOF-adjacent"}
+
+
+def _random_merge(rng, emap):
+    """A merge aimed, most of the time, at a gap next to existing entries
+    (edge-to-edge, partial, or up to EOF) at a neighbour's SN or another;
+    otherwise an arbitrary range that may overlap anything."""
+    entries = emap.entries()
+    if entries and rng.random() < 0.7:
+        k = rng.randrange(len(entries) + 1)
+        gap_lo = entries[k - 1][1] if k else 0
+        gap_hi = entries[k][0] if k < len(entries) else EOF
+        if gap_lo < gap_hi:
+            start = gap_lo if rng.random() < 0.5 else rng.randint(
+                gap_lo, min(gap_hi, gap_lo + SPACE) - 1)
+            if gap_hi != EOF or rng.random() < 0.2:
+                end = gap_hi if rng.random() < 0.5 else rng.randint(
+                    start + 1, min(gap_hi, start + SPACE))
+            else:
+                end = rng.randint(start + 1, start + SPACE)
+            sns = [rng.randrange(8)]
+            if k:
+                sns.append(entries[k - 1][2])
+            if k < len(entries):
+                sns.append(entries[k][2])
+            return start, end, rng.choice(sns)
+    start = rng.randrange(SPACE)
+    end = EOF if rng.random() < 0.1 else rng.randint(start + 1, SPACE)
+    return start, end, rng.randrange(8)
+
+
+@pytest.mark.parametrize("seed", [101, 202, 303])
+def test_gap_fast_path_matches_general_splice(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for _trial in range(80):
+        fast, ref = ExtentMap(), ExtentMap()
+        for _ in range(rng.randint(1, 40)):
+            s, e, sn = _random_merge(rng, fast)
+            seen |= _gap_cases(fast, s, e, sn)
+            assert fast.merge(s, e, sn) == _splice_merge(ref, s, e, sn), \
+                f"update set differs for merge({s}, {e}, {sn})"
+            assert fast.entries() == ref.entries()
+            assert fast.covered_bytes() == ref.covered_bytes()
+            fast._check_invariants()
+            ref._check_invariants()
+    assert seen == GAP_CASES, f"cases never exercised: {GAP_CASES - seen}"
+
+
+@pytest.mark.parametrize("entries, merge, want", [
+    # isolated insert between two entries
+    ([(0, 10, 1), (30, 40, 2)], (15, 20, 3),
+     [(0, 10, 1), (15, 20, 3), (30, 40, 2)]),
+    # left coalesce; the right neighbour touches with another SN
+    ([(0, 10, 1), (20, 30, 2)], (10, 20, 1), [(0, 20, 1), (20, 30, 2)]),
+    # right coalesce into an entry that runs to EOF
+    ([(100, EOF, 4)], (50, 100, 4), [(50, EOF, 4)]),
+    # bridge: both neighbours share the incoming SN and become one entry
+    ([(0, 10, 5), (20, 30, 5)], (10, 20, 5), [(0, 30, 5)]),
+    # different-SN neighbours on both sides: no coalescing
+    ([(0, 10, 5), (20, 30, 6)], (10, 20, 7),
+     [(0, 10, 5), (10, 20, 7), (20, 30, 6)]),
+    # empty map, range up to EOF
+    ([], (7, EOF, 0), [(7, EOF, 0)]),
+])
+def test_gap_fast_path_cases(entries, merge, want):
+    emap = ExtentMap()
+    for s, e, sn in entries:
+        emap.merge(s, e, sn)
+    assert emap.entries() == entries
+    before = emap.covered_bytes()
+    s, e, sn = merge
+    assert emap.merge(s, e, sn) == [(s, e)]
+    assert emap.entries() == want
+    assert emap.covered_bytes() == before + (e - s)
     emap._check_invariants()

@@ -264,7 +264,6 @@ class RpcService:
         if dedup:
             self.enable_dedup(dedup_capacity, dedup_ttl)
         self.halted = False
-        self._handler_name = f"{name}-handler"
         node.register_service(name, self._enqueue)
         self._dispatcher = self.sim.spawn(self._dispatch(),
                                           name=f"{node.name}/{name}")
@@ -412,7 +411,7 @@ class RpcService:
             result = self.handler(req)
             if result is not None:
                 sim.spawn(self._run_handler(req, result),
-                          name=self._handler_name)
+                          name=f"{self.name}-handler")
 
     def _run_handler(self, req: Request, gen: Generator) -> Generator:
         # The handler runs inside this one process: an exception it raises

@@ -19,7 +19,6 @@ import pytest
 from repro.harness.wallclock import (
     fig4_seconds,
     kernel_events_per_sec,
-    partition_timing,
     sweep_timing,
 )
 
@@ -107,30 +106,3 @@ def test_sweep_jobs_curve(benchmark):
                     f"jobs={j} took {entry['seconds']}s vs serial "
                     f"{serial_s}s — pool overhead blew up")
 
-
-def test_partition_curve(benchmark):
-    # The conservative windowed runner across the partition curve: wall
-    # seconds plus protocol counters, gated on byte-identity (the whole
-    # point of the conservative design).
-    timing = benchmark.pedantic(partition_timing,
-                                kwargs={"partitions": (1, 2, 4)},
-                                rounds=1, iterations=1)
-    RESULTS["partition"] = timing
-    print(f"\npartition: golden {timing['dlm']} seed={timing['seed']}, "
-          f"serial {timing['serial_seconds']}s, cpus={timing['cpus']}")
-    for p, entry in sorted(timing["per_partitions"].items(),
-                           key=lambda kv: int(kv[0])):
-        print(f"  partitions={p}: {entry['seconds']}s "
-              f"(windows={entry.get('windows', '-')}, "
-              f"exchanged={entry.get('exchanged', '-')})")
-    assert timing["byte_identical"]
-    # The window protocol must genuinely engage: partitioned points run
-    # windows and exchange cross-partition deliveries (a zero here means
-    # the partition plan degenerated and the test is vacuous).
-    for p, entry in timing["per_partitions"].items():
-        if int(p) > 1:
-            assert entry["windows"] > 0
-            assert entry["exchanged"] > 0
-    if timing["cpus"] < 2:
-        assert all("speedup" not in e
-                   for e in timing["per_partitions"].values())

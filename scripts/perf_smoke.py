@@ -11,9 +11,8 @@ Absolute wall-clock numbers only warn (shared CI runners are noisy) —
 including the serial direct-kernel throughput floor (``--kernel-floor``,
 default 2.0M ev/s).  Two things hard-fail:
 
-* a parallel sweep *or a partitioned run* that stops being
-  byte-identical to the serial run — that is a determinism bug, not
-  jitter;
+* a parallel sweep that stops being byte-identical to the serial
+  run — that is a determinism bug, not jitter;
 * on a runner with >= 2 CPUs, a parallel sweep whose best speedup falls
   below ``--min-speedup`` (default 1.1x) — the persistent-pool sweep
   must actually beat serial.  On < 2 CPUs the gate is skipped with a
@@ -21,8 +20,8 @@ default 2.0M ev/s).  Two things hard-fail:
   suppressed outright (seconds only) instead of recording sub-1x
   fantasy ratios measured on one core.
 
-When ``$GITHUB_STEP_SUMMARY`` is set, per-jobs and per-partition-count
-tables are appended to the job summary.
+When ``$GITHUB_STEP_SUMMARY`` is set, a per-jobs table is appended to
+the job summary.
 
 Before the probes it prints the delta between the last two records of
 ``BENCH_history.jsonl`` (the end-to-end benchmark's trajectory, see

@@ -81,7 +81,7 @@ from repro.workloads import (
     run_vpic,
 )
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AdmissionConfig",

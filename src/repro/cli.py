@@ -158,10 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(repeatable): shard SHARD moves to lock "
                               "server TO at simulated time AT; requires "
                               "--shards > 1")
-    chaos_p.add_argument("--partitions", type=int, default=1,
-                         help="run the cluster on this many conservative "
-                              "partitions (default 1 = serial; > 1 is "
-                              "byte-identical, see docs/simulation.md)")
 
     prof_p = sub.add_parser(
         "profile",
@@ -202,10 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                       json_help="stream one JSON object per cell "
                                 "(NDJSON, in cell order) instead of the "
                                 "header + table rows")
-    sweep_p.add_argument("--partitions", type=int, default=1,
-                         help="conservative partitions per cell's "
-                              "cluster (default 1 = serial; > 1 runs "
-                              "the windowed engine, byte-identically)")
     sweep_p.add_argument("--seeds", type=int, nargs="+", default=None,
                          help="seed list for --grid dlms "
                               "(default: just --seed)")
@@ -406,10 +398,6 @@ def _cmd_chaos(args) -> int:
         print(f"repro chaos: error: {exc}", file=sys.stderr)
         return 2
 
-    if args.partitions < 1:
-        print(f"repro chaos: error: --partitions must be >= 1, got "
-              f"{args.partitions}", file=sys.stderr)
-        return 2
     sharding = None
     if args.shards < 1:
         print(f"repro chaos: error: --shards must be >= 1, got "
@@ -445,7 +433,6 @@ def _cmd_chaos(args) -> int:
         dlm=args.dlm, stripe_size=4096, page_size=16,
         extent_log=True, validate_locks=True,
         faults=faults, seed=args.seed, sharding=sharding,
-        partitions=args.partitions,
         retry=RetryPolicy(timeout=3e-3, backoff=2.0, max_timeout=5e-2,
                           max_retries=40, jitter=0.2))
 
@@ -501,11 +488,6 @@ def _cmd_chaos(args) -> int:
               f"epoch {c.shard_map.epoch}, "
               f"{len(c.shard_migration_records)} migrations, "
               f"{moved} locks moved")
-    if result.cluster.partition_runner is not None:
-        st = result.cluster.partition_runner.stats()
-        print(f"  partitions: {st['partitions']} "
-              f"(windows={st['windows']}, barriers={st['barriers']}, "
-              f"exchanged={st['exchanged']}) — byte-identical to serial")
     print(f"  resilience: {_fmt_counters(result.cluster)}")
     print(f"  metrics: {_snapshot_json(result.metrics)}")
     print(f"  plan signature: {plan.signature()[:16]} "
@@ -560,8 +542,7 @@ def _cmd_chaos_kill(args, faults) -> int:
         faults=faults,
         retry=RetryPolicy(timeout=3e-3, backoff=2.0, max_timeout=5e-2,
                           max_retries=40, jitter=0.2),
-        cluster=ClusterConfig(num_data_servers=args.servers,
-                              partitions=args.partitions))
+        cluster=ClusterConfig(num_data_servers=args.servers))
     if not 0 <= config.victim < config.clients:
         print(f"repro chaos: error: --kill-client {config.victim} out of "
               f"range for {config.clients} clients", file=sys.stderr)
@@ -624,13 +605,11 @@ def _cmd_chaos_seqkill(args, faults) -> int:
         print(f"repro chaos: error: --kill-server {args.kill_server} out "
               f"of range for {args.servers} servers", file=sys.stderr)
         return 2
-    from repro.pfs import ClusterConfig
     config = SequencerKillConfig(
         dlm=args.dlm, seed=args.seed, clients=args.clients,
         servers=args.servers, kill_index=args.kill_server,
         kill_at=args.kill_at, writes_per_client=args.writes,
-        faults=faults,
-        cluster=ClusterConfig(partitions=args.partitions))
+        faults=faults)
 
     t0 = time.time()
     result = run_sequencer_kill(config)
@@ -749,10 +728,6 @@ def _cmd_sweep(args) -> int:
         print("repro sweep: error: --jobs and --chunksize must be >= 0",
               file=sys.stderr)
         return 2
-    if args.partitions < 1:
-        print(f"repro sweep: error: --partitions must be >= 1, got "
-              f"{args.partitions}", file=sys.stderr)
-        return 2
     jobs = args.jobs or (_os.cpu_count() or 1)  # 0 = one per CPU
     config = SweepConfig(jobs=jobs, chunksize=args.chunksize)
     seeds = args.seeds if args.seeds is not None else [args.seed]
@@ -765,9 +740,6 @@ def _cmd_sweep(args) -> int:
             dlms, seeds, pattern="n1-strided", clients=8,
             writes_per_client=64, xfer=64 * 1024, stripes=2,
             num_data_servers=2)
-    if args.partitions > 1:
-        cells = [dataclasses.replace(c, partitions=args.partitions)
-                 for c in cells]
     t0 = time.time()
     if args.json:
         for r in iter_sweep(cells, config=config):

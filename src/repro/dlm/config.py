@@ -9,7 +9,6 @@ Fig. 19 (lock conversion on/off).
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -161,25 +160,6 @@ def make_dlm_config(name: str, **overrides):
     :func:`repro.dlm.registry.make_dlm_config`; unknown names raise a
     :class:`ValueError` listing every registered algorithm."""
     return _registry.make_dlm_config(name, **overrides)
-
-
-_presets_shim_warned = False
-
-
-def __getattr__(attr):
-    # Back-compat shim for code that reached into the (always private)
-    # preset table directly; the registry replaced it in v1.4.0.
-    if attr == "_PRESETS":
-        global _presets_shim_warned
-        if not _presets_shim_warned:
-            _presets_shim_warned = True
-            warnings.warn(
-                "repro.dlm.config._PRESETS is deprecated; use "
-                "repro.dlm.registry (register_dlm / available_dlms / "
-                "make_dlm_config) instead",
-                DeprecationWarning, stacklevel=2)
-        return {key: dict(params) for key, params in _CLASSIC_PRESETS.items()}
-    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
 
 
 def select_mode(is_read: bool, implicit_read: bool = False,

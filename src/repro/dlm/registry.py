@@ -5,8 +5,7 @@ server-arbitrated DLMs *and* the decentralized mutual-exclusion family
 (``repro.dlm.mutex``) — registers here under its CLI name.  The registry
 is the single source of truth for:
 
-* :func:`make_dlm_config` — preset construction (the old private
-  ``_PRESETS`` dict in :mod:`repro.dlm.config` now delegates here);
+* :func:`make_dlm_config` — preset construction;
 * :func:`available_dlms` — the name list the CLI ``--dlm`` choices and
   the harness DLM matrices are derived from;
 * :func:`coordinator_for` — the client-side coordinator class for

@@ -74,9 +74,6 @@ class SweepCell:
     xfer: int = 64 * KB
     stripes: int = 1
     num_data_servers: int = 1
-    #: Conservative-partition count for the cell's cluster (1 = serial;
-    #: > 1 runs the windowed engine, byte-identical by golden test).
-    partitions: int = 1
 
 
 @dataclass(frozen=True, **DATACLASS_KW)
@@ -210,7 +207,6 @@ def _run_cell_raw(cell: SweepCell) -> tuple:
                 num_data_servers=cell.num_data_servers,
                 content_mode="off",
                 seed=cell.seed,
-                partitions=cell.partitions,
             ),
         )
     )

@@ -15,10 +15,6 @@ Three probes:
   default), recording per-jobs wall time, speedup vs serial, the chunk
   plan the dispatcher used, and the byte-identity verdict the
   determinism goldens enforce.
-* ``partition_timing`` — one golden-case experiment through the
-  conservative partitioned runner (:mod:`repro.sim.partition`) across a
-  curve of partition counts, recording per-count wall time, window
-  protocol counters, and the partitioned-vs-serial byte-identity verdict.
 
 Honesty policy: every section records the ``cpus`` it was measured on,
 and on single-CPU hosts **speedup claims are suppressed entirely**
@@ -50,12 +46,10 @@ __all__ = [
     "kernel_events_per_sec",
     "fig4_seconds",
     "sweep_timing",
-    "partition_timing",
     "collect",
 ]
 
 DEFAULT_JOBS_CURVE = (1, 2, 4)
-DEFAULT_PARTITIONS_CURVE = (1, 2, 4)
 
 
 def kernel_events_per_sec(
@@ -176,90 +170,6 @@ def sweep_timing(
     }
 
 
-def partition_timing(
-    partitions: Union[int, Iterable[int]] = DEFAULT_PARTITIONS_CURVE,
-    dlm: str = "seqdlm",
-    seed: int = 101,
-) -> Dict:
-    """Wall time for one golden-case experiment across partition counts.
-
-    Runs the determinism-golden IOR case serially (the byte-identity
-    reference), then once per requested partition count through the
-    conservative windowed runner (:mod:`repro.sim.partition`).  Each
-    ``per_partitions`` entry records wall seconds, the window-protocol
-    counters (windows executed, cross-partition deliveries exchanged),
-    and whether the MetricsSnapshot matched the serial bytes exactly.
-    As with :func:`sweep_timing`, ``speedup`` keys appear only on
-    >= 2-CPU hosts — and the current runner executes windows in-process,
-    so even there the number measures protocol overhead, not parallel
-    gain (docs/simulation.md, "Parallel execution").
-    """
-    from repro.metrics import MetricsSnapshot
-    from repro.pfs import ClusterConfig
-    from repro.workloads.ior import IorConfig, run_ior
-
-    if isinstance(partitions, int):
-        partitions = (partitions,)
-    curve = sorted({int(p) for p in partitions})
-    if not curve or curve[0] < 1:
-        raise ValueError(f"partitions curve must be >= 1 everywhere, got {curve}")
-
-    cpus = os.cpu_count() or 1
-
-    def once(parts: int):
-        t0 = time.perf_counter()
-        r = run_ior(
-            IorConfig(
-                pattern="n1-strided",
-                clients=6,
-                writes_per_client=12,
-                xfer=8 * 1024,
-                stripes=2,
-                cluster=ClusterConfig(
-                    dlm=dlm,
-                    num_data_servers=2,
-                    content_mode="off",
-                    seed=seed,
-                    partitions=parts,
-                ),
-            )
-        )
-        seconds = time.perf_counter() - t0
-        text = MetricsSnapshot.from_dict(r.metrics).to_json()
-        runner = r.cluster.partition_runner
-        return seconds, text, (runner.stats() if runner is not None else None)
-
-    serial_s, reference, _ = once(1)
-    per: Dict[str, Dict] = {}
-    all_identical = True
-    for p in curve:
-        if p == 1:
-            seconds, text, stats = serial_s, reference, None
-        else:
-            seconds, text, stats = once(p)
-        identical = text == reference
-        all_identical = all_identical and identical
-        entry: Dict = {
-            "seconds": round(seconds, 3),
-            "byte_identical": identical,
-        }
-        if stats is not None:
-            entry["windows"] = stats["windows"]
-            entry["exchanged"] = stats["exchanged"]
-        if cpus >= 2:
-            entry["speedup"] = round(serial_s / seconds, 3) if seconds else 0.0
-        per[str(p)] = entry
-
-    return {
-        "dlm": dlm,
-        "seed": seed,
-        "cpus": cpus,
-        "serial_seconds": round(serial_s, 3),
-        "per_partitions": per,
-        "byte_identical": all_identical,
-    }
-
-
 def collect(
     jobs: Union[int, Iterable[int]] = DEFAULT_JOBS_CURVE,
     scale: str = "small",
@@ -286,7 +196,6 @@ def collect(
         },
         "fig4_small_seconds": round(fig4_seconds(scale), 3),
         "sweep": sweep_timing(jobs=jobs, scale=scale),
-        "partition": partition_timing(),
     }
     if baseline_events_per_sec:
         out["kernel"]["seed_kernel_events_per_sec"] = round(baseline_events_per_sec)
@@ -323,22 +232,6 @@ def _write_step_summary(payload: Dict) -> None:
             f"| {entry['chunksize'] or '—'} | {entry['chunks'] or '—'} "
             f"| {'yes' if entry['byte_identical'] else '**DIVERGED**'} |"
         )
-    part = payload.get("partition")
-    if part:
-        lines += [
-            "",
-            f"- partitioned runner (golden `{part['dlm']}` seed={part['seed']}): "
-            f"serial {part['serial_seconds']}s",
-            "",
-            "| partitions | wall (s) | windows | exchanged | byte-identical |",
-            "|---:|---:|---:|---:|:---|",
-        ]
-        for p, entry in sorted(part["per_partitions"].items(), key=lambda kv: int(kv[0])):
-            lines.append(
-                f"| {p} | {entry['seconds']} "
-                f"| {entry.get('windows', '—')} | {entry.get('exchanged', '—')} "
-                f"| {'yes' if entry['byte_identical'] else '**DIVERGED**'} |"
-            )
     if sweep["cpus"] < 2:
         lines.append("")
         lines.append(
@@ -402,14 +295,6 @@ def main(argv=None) -> int:  # pragma: no cover - exercised via script
         print(
             "::error::perf-smoke: parallel sweep results diverged from "
             "serial — determinism bug"
-        )
-        rc = 1
-    if not payload["partition"]["byte_identical"]:
-        # Same policy: the conservative windowed runner exists to be
-        # byte-identical; divergence is a lookahead/merge bug, not noise.
-        print(
-            "::error::perf-smoke: partitioned run diverged from serial "
-            "— conservative-window determinism bug"
         )
         rc = 1
 

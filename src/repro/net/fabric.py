@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from heapq import heappush as _heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro._compat import DATACLASS_KW
-from repro.sim.core import NORMAL, Event, SimulationError, Simulator
+from repro.sim.core import NORMAL, Event, Simulator
 
 __all__ = ["NetworkConfig", "Message", "Node", "Fabric",
            "UnknownServiceError"]
@@ -166,68 +165,6 @@ class Fabric:
         # messages between one pair of nodes are FIFO (QP ordering on
         # real IB); bulk transfers ride separate QPs and may interleave.
         self._pair_last: Dict[tuple, float] = {}
-        # Conservative-partition mode (repro.sim.partition): when enabled,
-        # cross-partition deliveries are *parked* in per-destination
-        # exchange buffers instead of entering the live schedule, and the
-        # partitioned runner flushes them at window barriers.
-        self._partition_of: Optional[Dict[str, int]] = None
-        self._exchange: Tuple[List[tuple], ...] = ()
-        #: Cross-partition deliveries parked so far (partition mode only).
-        self.exchange_parked = 0
-
-    # -- conservative-partition support ----------------------------------
-    def lookahead(self) -> float:
-        """Minimum cross-node delivery delay — the conservative window
-        width.  Every non-local message pays at least ``latency`` plus
-        ``per_message_overhead`` (the fault injector only *adds* delay),
-        so events sent at ``t`` can only land at ``>= t + lookahead()``.
-        """
-        return self.config.latency + self.config.per_message_overhead
-
-    def enable_partitions(self, partition_of: Dict[str, int],
-                          num_partitions: int) -> None:
-        """Switch the fabric into partition mode.
-
-        ``partition_of`` maps node names to partition ids; unlisted nodes
-        default to partition 0.  From here on, deliveries that cross a
-        partition boundary are parked (with their final ``(time,
-        priority, seq)`` schedule key, assigned at send time exactly as
-        the serial kernel would) until :meth:`flush_exchange`.
-        """
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        self._partition_of = dict(partition_of)
-        self._exchange = tuple([] for _ in range(num_partitions))
-
-    def flush_exchange(self, min_time: Optional[float] = None) -> int:
-        """Move every parked cross-partition entry onto the live schedule.
-
-        Called at window barriers by the partitioned runner.  ``min_time``
-        asserts the conservative-lookahead contract: a parked entry due
-        before the previous window's horizon would mean the window
-        executed events it was not allowed to see yet — a determinism
-        bug, surfaced loudly instead of silently diverging.
-
-        Returns the number of entries moved.  The entries keep the seq
-        numbers they were assigned at send time, and pops always take the
-        globally minimal ``(time, priority, seq)`` across lanes, so the
-        processing order is byte-identical to the serial schedule.
-        """
-        heap = self.sim._heap
-        moved = 0
-        for buf in self._exchange:
-            if not buf:
-                continue
-            for entry in buf:
-                if min_time is not None and entry[0] < min_time:
-                    raise SimulationError(
-                        f"lookahead violation: parked delivery at "
-                        f"t={entry[0]!r} precedes window horizon "
-                        f"{min_time!r}")
-                _heappush(heap, entry)
-            moved += len(buf)
-            buf.clear()
-        return moved
 
     def add_node(self, name: str) -> Node:
         if name in self.nodes:
@@ -291,29 +228,6 @@ class Fabric:
         # runs _on_arrival, pushed under the same (time, NORMAL, seq) key
         # a sim.timeout(t - now) would get.
         arrive = self._on_arrival
-        part = self._partition_of
-        if part is not None and src is not dst and \
-                part.get(src.name, 0) != part.get(dst.name, 0):
-            # Cross-partition delivery: assign the schedule key now —
-            # identical seq / pending / watermark accounting to the live
-            # path below — but park the entry in the destination
-            # partition's exchange buffer for the next window barrier.
-            # Safe because deliver_at >= now + lookahead() >= the
-            # current window's horizon.
-            buf = self._exchange[part.get(dst.name, 0)]
-            for t in times:
-                self.deliveries_scheduled += 1
-                self.exchange_parked += 1
-                ev = Event(sim)
-                ev._value = msg
-                ev.callbacks.append(arrive)
-                sim._seq += 1
-                buf.append((t, NORMAL, sim._seq, ev))
-                p = sim._pending + 1
-                sim._pending = p
-                if p > sim._max_queue_len:
-                    sim._max_queue_len = p
-            return deliver_at
         for t in times:
             self.deliveries_scheduled += 1
             ev = Event(sim)

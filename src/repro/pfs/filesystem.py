@@ -17,7 +17,6 @@ path retries on timeout when ``flush_timeout`` is configured).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Hashable, List, Optional, Union
 
@@ -67,14 +66,11 @@ from repro.pfs.extent_cache import ServerExtentCache
 from repro.pfs.extent_log import ExtentLog
 from repro.pfs.metadata import FileMeta, MetadataServer
 from repro.pfs.page_cache import ClientCache
-from repro.sim.core import Simulator
+from repro.sim.core import AllOf, Simulator
 from repro.sim.rng import DeterministicRNG
 from repro.storage.device import StorageDevice, WriteCostModel
 
 __all__ = ["ClusterConfig", "Cluster"]
-
-#: Warn-once latch for the ``track_content`` deprecation.
-_track_content_warned = False
 
 
 @dataclass
@@ -116,16 +112,10 @@ class ClusterConfig(DictConfigMixin):
     #: clients' aggregate cache bandwidth (~40 GB/s) matches the
     #: cache-bound plateau of the paper's Fig. 4 / Table III.
     mem_bandwidth: float = 2.5e9
-    #: **Deprecated** — use ``content_mode`` instead.  Setting this to a
-    #: non-None value warns once per process; behaviour is unchanged
-    #: (``True`` ≙ ``content_mode="full"``, ``False`` ≙ ``"off"``, and an
-    #: explicit ``content_mode`` always wins).
-    track_content: Optional[bool] = None
     #: Tri-state payload tracking: ``"full"`` (real bytes end to end),
     #: ``"checksum"`` (rolling CRC32 of every accepted update, no byte
     #: buffers), ``"off"`` (extent/SN bookkeeping only).  ``None`` means
-    #: ``"full"`` (or derives from the deprecated ``track_content``
-    #: bool).  See :mod:`repro.pfs.content`.
+    #: ``"full"``.  See :mod:`repro.pfs.content`.
     content_mode: Optional[str] = None
     min_dirty: int = 8 * 1024 * 1024
     max_dirty: int = 128 * 1024 * 1024
@@ -181,26 +171,8 @@ class ClusterConfig(DictConfigMixin):
     #: requires ``retry``; ``num_shards = 1`` (or None) keeps the
     #: classic single-sequencer path byte-identical.
     sharding: Optional[ShardConfig] = None
-    #: Conservative partitioned execution (see :mod:`repro.sim.partition`
-    #: and docs/simulation.md): shard the cluster's nodes across this many
-    #: partitions and advance the run in lookahead-bounded time windows
-    #: with cross-partition deliveries exchanged at window barriers.
-    #: ``1`` (the default) is the classic serial path, byte-identical by
-    #: construction; ``> 1`` must be byte-identical too (golden-tested).
-    partitions: int = 1
 
     seed: int = 0
-
-    def __setattr__(self, name, value):
-        if name == "track_content" and value is not None:
-            global _track_content_warned
-            if not _track_content_warned:
-                _track_content_warned = True
-                warnings.warn(
-                    "ClusterConfig.track_content is deprecated; use "
-                    "content_mode='full'/'checksum'/'off' instead",
-                    DeprecationWarning, stacklevel=2)
-        object.__setattr__(self, name, value)
 
     def dlm_config(self):
         """Resolve ``dlm`` to its config object: strings go through the
@@ -213,8 +185,7 @@ class ClusterConfig(DictConfigMixin):
 
     def resolved_content_mode(self) -> str:
         from repro.pfs.content import resolve_content_mode
-        track = True if self.track_content is None else self.track_content
-        return resolve_content_mode(track, self.content_mode)
+        return resolve_content_mode(content_mode=self.content_mode)
 
 
 #: Deterministic placement hash.  The canonical implementation moved to
@@ -276,11 +247,6 @@ class Cluster:
                     "FaultConfig.client_outages is not supported with a "
                     "decentralized DLM: peer crashes need the lease/"
                     "eviction machinery the lock servers provide")
-            if config.partitions > 1:
-                raise ValueError(
-                    "ClusterConfig.partitions > 1 is not supported with "
-                    "a decentralized DLM yet (the partition planner "
-                    "co-locates around sequencers)")
 
         # Fault plan: attach the injector and drive timed outages.
         self.fault_plan: Optional[FaultPlan] = None
@@ -597,22 +563,6 @@ class Cluster:
                 self.sim.spawn(self._shard_migration_driver(mig),
                                name=f"shard-migration-{n}")
 
-        # Conservative partitioned engine (repro.sim.partition).  Built
-        # last so the planner sees every node; ``partitions == 1`` keeps
-        # the classic serial path with zero new state on the hot paths.
-        if config.partitions < 1:
-            raise ValueError(
-                f"ClusterConfig.partitions must be >= 1, "
-                f"got {config.partitions}")
-        self.partition_plan = None
-        self.partition_runner = None
-        if config.partitions > 1:
-            from repro.sim.partition import (PartitionedRunner,
-                                             plan_partitions)
-            self.partition_plan = plan_partitions(self, config.partitions)
-            self.partition_runner = PartitionedRunner(
-                self.sim, self.fabric, self.partition_plan)
-
     # ------------------------------------------------------------- placement
     def server_index_for(self, stripe_key: Hashable) -> int:
         return _stable_hash(stripe_key) % len(self.server_nodes)
@@ -647,26 +597,6 @@ class Cluster:
         return self.metadata.create(path, stripe_count,
                                     stripe_size or self.config.stripe_size)
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Advance the simulation: the conservative partitioned engine
-        when ``config.partitions > 1``, the serial kernel otherwise.
-        Workload drivers should prefer this over ``cluster.sim.run`` so
-        partitioning applies transparently."""
-        if self.partition_runner is not None:
-            self.partition_runner.run(until=until, max_events=max_events)
-        else:
-            self.sim.run(until=until, max_events=max_events)
-
-    def run_until(self, event, max_events: Optional[int] = None) -> None:
-        """Run until ``event`` is processed (partition-aware counterpart
-        of ``cluster.sim.run_until_event``)."""
-        if self.partition_runner is not None:
-            self.partition_runner.run_until_event(event,
-                                                  max_events=max_events)
-        else:
-            self.sim.run_until_event(event, max_events=max_events)
-
     def run_clients(self, coroutines, until: Optional[float] = None,
                     max_events: Optional[int] = None):
         """Spawn one process per client coroutine and run until all of
@@ -674,10 +604,10 @@ class Cluster:
         and do not block termination); returns their results in order."""
         procs = [self.sim.spawn(gen) for gen in coroutines]
         if until is not None:
-            self.run(until=until)
+            self.sim.run(until=until, max_events=max_events)
         else:
-            from repro.sim.core import AllOf
-            self.run_until(AllOf(self.sim, procs), max_events=max_events)
+            self.sim.run_until_event(AllOf(self.sim, procs),
+                                     max_events=max_events)
         for p in procs:
             if not p.triggered:
                 raise RuntimeError("client process did not finish")

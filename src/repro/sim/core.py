@@ -638,11 +638,6 @@ class Simulator:
             return None, None
         return best, src
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        best, _src = self._select()
-        return best[0] if best is not None else float("inf")
-
     def step(self) -> None:
         """Process exactly one event."""
         best, src = self._select()
@@ -971,64 +966,3 @@ class Simulator:
             self._event_count += n
         if until is not None:
             self._now = until
-
-    def run_window(self, horizon: float,
-                   until_event: Optional[Event] = None,
-                   max_events: Optional[int] = None) -> bool:
-        """Process events with time strictly below ``horizon`` in global
-        ``(time, priority, seq)`` order, then stop.
-
-        The building block of the conservative partitioned engine
-        (:mod:`repro.sim.partition`): a bounded window is safe to execute
-        because cross-partition deliveries parked in the fabric's exchange
-        buffers are guaranteed — by the network lookahead — to land at or
-        beyond ``horizon``.  The clock is left at the last processed
-        event, never advanced to ``horizon``, so every schedule key
-        assigned inside the next window matches the serial kernel exactly.
-
-        Returns ``True`` iff ``until_event`` was processed inside the
-        window.  ``max_events`` bounds the number of events processed;
-        exhausting the budget raises :class:`SimulationError`.
-        """
-        budget = max_events if max_events is not None else _UNLIMITED
-        heap = self._heap
-        free = self._free
-        getref = _getrefcount
-        n = 0
-        try:
-            while True:
-                if until_event is not None and until_event._processed:
-                    return True
-                best, src = self._select()
-                if best is None or best[0] >= horizon:
-                    return False
-                if n >= budget:
-                    raise SimulationError(
-                        f"event budget {max_events} exhausted "
-                        f"at t={self._now}")
-                n += 1
-                entry = _heappop(src) if src is heap else src.popleft()
-                self._pending -= 1
-                self._now = entry[0]
-                ev = entry[3]
-                if ev is None:
-                    proc = entry[4]
-                    if proc._dwait == entry[2]:
-                        proc._dwait = 0
-                        proc._resume(_NULL_EVENT)
-                    continue
-                callbacks = ev.callbacks
-                ev.callbacks = None
-                ev._processed = True
-                if len(callbacks) == 1:
-                    callbacks[0](ev)
-                else:
-                    for fn in callbacks:
-                        fn(ev)
-                if not ev._ok and not ev._defused:
-                    raise ev._value
-                if (ev.__class__ is Timeout and getref(ev) == 2
-                        and len(free) < _FREE_MAX):
-                    free.append(ev)
-        finally:
-            self._event_count += n

@@ -197,14 +197,14 @@ def run_client_kill(config: ClientKillConfig) -> ClientKillResult:
         proc = sim.spawn(worker(rank), name=f"ck-rank{rank}")
         cluster.register_app_process(rank, proc)
         procs.append(proc)
-    cluster.run_until(AllOf(sim, procs))
+    sim.run_until_event(AllOf(sim, procs))
     outcomes = [p.value for p in procs]
 
     # Drain past the heal so the zombie's heartbeat gets fenced and the
     # victim rejoins with a fresh incarnation.
     end = sim.now if config.victim is None else \
         max(sim.now, config.kill_at + config.heal_after)
-    cluster.run(until=end + config.drain)
+    sim.run(until=end + config.drain)
 
     image = cluster.read_back("/shared")
 

@@ -185,14 +185,14 @@ def run_sequencer_kill(config: SequencerKillConfig) -> SequencerKillResult:
 
     procs = [sim.spawn(worker(rank), name=f"sk-rank{rank}")
              for rank in range(n)]
-    cluster.run_until(AllOf(sim, procs))
+    sim.run_until_event(AllOf(sim, procs))
     for p in procs:
         if not p.ok:
             raise p.value
     outcomes = [p.value for p in procs]
 
     # Settle re-assertion, fencing and any straggler flush retries.
-    cluster.run(until=max(sim.now, config.kill_at) + config.drain)
+    sim.run(until=max(sim.now, config.kill_at) + config.drain)
 
     image = cluster.read_back("/shared")
     reason = ""

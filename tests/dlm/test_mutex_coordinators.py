@@ -160,9 +160,3 @@ def test_server_machinery_is_rejected(field, value):
         Cluster(ClusterConfig(dlm="dlm-token", num_clients=2,
                               num_data_servers=1,
                               **{field: actual}))
-
-
-def test_partitioned_execution_is_rejected():
-    with pytest.raises(ValueError, match="decentralized"):
-        Cluster(ClusterConfig(dlm="dlm-lease", num_clients=2,
-                              num_data_servers=2, partitions=2))

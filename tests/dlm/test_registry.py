@@ -1,12 +1,9 @@
-"""The pluggable DLM registry: discovery, errors, third-party
-registration, and the legacy ``_PRESETS`` deprecation shim."""
-
-import warnings
+"""The pluggable DLM registry: discovery, errors, and third-party
+registration."""
 
 import pytest
 
 import repro.dlm  # noqa: F401 - registers the built-in families
-from repro.dlm import config as dlm_config
 from repro.dlm.config import DLMConfig, ExpansionPolicy
 from repro.dlm.lcm import traditional_compatible
 from repro.dlm.registry import (
@@ -79,22 +76,6 @@ def test_overrides_flow_through_the_factory():
     assert cfg.name == "seqdlm"
     lease = make_dlm_config("dlm-lease", backoff_base=9e-4)
     assert lease.backoff_base == 9e-4
-
-
-def test_presets_shim_warns_once_and_stays_isolated():
-    dlm_config._presets_shim_warned = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        presets = dlm_config._PRESETS
-        dlm_config._PRESETS  # second access: latched, no second warning
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "register_dlm" in str(deprecations[0].message)
-    # The shim hands back a copy: mutating it cannot corrupt the
-    # registry's presets.
-    presets["seqdlm"]["early_revocation"] = False
-    assert make_dlm_config("seqdlm").early_revocation is True
 
 
 def test_direct_dlm_config_construction_still_works():

@@ -29,7 +29,7 @@ def test_paper_scale_matches_published_constants():
 
 def test_top_level_package_metadata():
     import repro
-    assert repro.__version__ == "1.4.0"
+    assert repro.__version__ == "2.0.0"
 
 
 @pytest.mark.parametrize("module,names", [

@@ -64,6 +64,22 @@ def test_run_clients_max_events_guard():
                             max_events=1000)
 
 
+def test_run_clients_until_still_honours_max_events():
+    cluster = small()
+
+    def daemon():
+        while True:
+            yield 1.0
+
+    def client(c):
+        yield c.sim.timeout(1.0)
+
+    cluster.sim.spawn(daemon())
+    with pytest.raises(SimulationError, match="budget 10 exhausted"):
+        cluster.run_clients([client(cluster.clients[0])],
+                            until=1000.0, max_events=10)
+
+
 def test_stats_aggregation_sums_servers():
     cluster = small()
     cluster.create_file("/f", stripe_count=4)

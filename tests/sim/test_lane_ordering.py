@@ -2,9 +2,8 @@
 
 The scheduler keeps four lanes (``_imm_high``/``_imm_norm`` zero-delay
 deques, the monotone ``_fut`` deque, and the ``_heap`` fallback), but the
-contract — and what the conservative partitioned runner's byte-identity
-leans on — is that pops always take the globally minimal ``(time,
-priority, seq)`` key *across* lanes.  These tests pin that down at its
+contract — and what every golden digest leans on — is that pops always
+take the globally minimal ``(time, priority, seq)`` key *across* lanes.  These tests pin that down at its
 sharpest edge: several entries at exactly the same timestamp, spread
 over different lanes, created in adversarial orders.
 """

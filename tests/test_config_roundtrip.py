@@ -1,9 +1,8 @@
 """Config dict round-trips: every public config serializes to plain
 dicts and rebuilds equal — the contract that makes scenarios storable
-as JSON/YAML — plus the ``track_content`` deprecation shim."""
+as JSON/YAML."""
 
 import json
-import warnings
 
 import pytest
 
@@ -152,34 +151,3 @@ def test_unknown_keys_error_and_name_the_valid_ones():
 
 def test_from_dict_accepts_its_own_defaults():
     assert ClusterConfig.from_dict({}) == ClusterConfig()
-
-
-# ------------------------------------------------- track_content deprecation
-def _reset_warn_latch():
-    import repro.pfs.filesystem as fs
-    fs._track_content_warned = False
-
-
-def test_track_content_warns_once_and_keeps_behaviour():
-    _reset_warn_latch()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        a = ClusterConfig(track_content=True)
-        b = ClusterConfig(track_content=False)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1  # warn once per process, not per config
-    assert "content_mode" in str(deprecations[0].message)
-    # The legacy bool still resolves exactly as before.
-    assert a.resolved_content_mode() == "full"
-    assert b.resolved_content_mode() == "off"
-
-
-def test_content_mode_does_not_warn():
-    _reset_warn_latch()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ClusterConfig(content_mode="checksum")
-        ClusterConfig()
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]

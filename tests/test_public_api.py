@@ -173,3 +173,32 @@ def test_facade_names_are_importable_directly():
     # The one-liner the docs lead with must keep working.
     from repro import Cluster, ClusterConfig  # noqa: F401
     from repro import TrafficConfig, run_traffic  # noqa: F401
+
+
+def _documented_cluster_config_fields():
+    """Field names in the first column of docs/api.md's ClusterConfig
+    table (rows may name several fields, e.g. ``a`` / ``b``)."""
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "docs" / "api.md").read_text()
+    section = text.split("### `ClusterConfig`", 1)[1].split("\n#", 1)[0]
+    names = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names += re.findall(r"`(\w+)`", line.split("|")[1])
+    return names
+
+
+def test_cluster_config_table_in_api_doc_matches_fields():
+    import dataclasses
+
+    from repro import ClusterConfig
+
+    documented = _documented_cluster_config_fields()
+    fields = [f.name for f in dataclasses.fields(ClusterConfig)]
+    assert len(documented) == len(set(documented))
+    assert sorted(documented) == sorted(fields), (
+        f"docs/api.md ClusterConfig table drifted: "
+        f"missing {sorted(set(fields) - set(documented))}, "
+        f"stale {sorted(set(documented) - set(fields))}")

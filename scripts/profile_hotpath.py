@@ -9,7 +9,11 @@ functions by cumulative or internal time:
   writes on one stripe, seqdlm; N = 320 in `bench/`;
 * ``segmented`` — `segmented_stream`: 16 clients x N segmented 4 KiB
   writes on 4 stripes, then each client reads another client's segment
-  cold; N = 3072 in `bench/`.
+  cold; N = 3072 in `bench/`;
+* ``traffic`` — `mixed_rw_open`: open-loop Poisson arrivals at 40k/s,
+  half reads, 4 files, 8 clients, 2 servers, every RPC on the retry path;
+  N is the mean number of requests per client (the arrival window is
+  8N/40000 s), N = 2000 in `bench/`.
 
 First it prints the scaling figure that matters for the lock table: host
 microseconds per write at 20 and at N writes per client, unprofiled.
@@ -28,8 +32,9 @@ process it resumes, divided by the number of client reads and writes.
 That is the model-side cost of an op, independent of the host; the
 totals equal the run's `sim.events`.
 
-    python scripts/profile_hotpath.py [--shape segmented] [--writes N]
-                                      [--sort tottime] [--events]
+    python scripts/profile_hotpath.py [--shape segmented|traffic]
+                                      [--writes N] [--sort tottime]
+                                      [--events]
 """
 
 import argparse
@@ -41,10 +46,22 @@ import time
 from collections import Counter
 
 
+#: `mixed_rw_open`'s offered load and client count (`bench/workloads.py`).
+TRAFFIC_RATE = 40000.0
+TRAFFIC_CLIENTS = 8
+
+
 def workload(writes: int, shape: str = "strided"):
     from repro.pfs import ClusterConfig
+    from repro.traffic import TrafficConfig, run_traffic
     from repro.workloads import IorConfig, run_ior
 
+    if shape == "traffic":
+        return run_traffic(TrafficConfig(
+            dlm="seqdlm", seed=101, arrival="poisson", rate=TRAFFIC_RATE,
+            duration=writes * TRAFFIC_CLIENTS / TRAFFIC_RATE,
+            read_fraction=0.5, num_files=4, num_clients=TRAFFIC_CLIENTS,
+            num_servers=2, users=10000, xfer=16 * 1024))
     if shape == "segmented":
         return run_ior(IorConfig(
             pattern="n1-segmented", clients=16, writes_per_client=writes,
@@ -106,13 +123,20 @@ def count_events(run):
     return result, kinds
 
 
+def client_ops(result) -> int:
+    """Client reads plus writes the run completed."""
+    metrics = result.metrics["metrics"]
+    return (metrics["pfs.client.writes"]["value"]
+            + metrics["pfs.client.reads"]["value"])
+
+
 def print_events(writes: int, shape: str) -> None:
     result, kinds = count_events(lambda: workload(writes, shape))
     metrics = result.metrics["metrics"]
-    ops = (metrics["pfs.client.writes"]["value"]
-           + metrics["pfs.client.reads"]["value"])
+    ops = client_ops(result)
     total = sum(kinds.values())
-    print(f"{shape}, {writes} writes/client: {total} events for {ops} "
+    unit = "requests" if shape == "traffic" else "writes"
+    print(f"{shape}, {writes} {unit}/client: {total} events for {ops} "
           f"ops, {total / ops:.2f} per op "
           f"(sim.events {metrics['sim.events']['value']})\n")
     print(f"{'events':>9} {'per op':>7}  kind")
@@ -123,11 +147,12 @@ def print_events(writes: int, shape: str) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--shape", default="strided",
-                        choices=("strided", "segmented"),
+                        choices=("strided", "segmented", "traffic"),
                         help="which benchmark shape to run")
     parser.add_argument("--writes", type=int, default=320,
                         help="writes per client (default 320, the "
-                             "benchmark's strided_hot)")
+                             "benchmark's strided_hot); for traffic, mean "
+                             "requests per client")
     parser.add_argument("--sort", default="cumulative",
                         choices=("cumulative", "tottime", "ncalls"),
                         help="pstats sort key")
@@ -142,12 +167,17 @@ def main() -> int:
         return 0
 
     workload(8, args.shape)  # imports and first-call caches are not the measurement
+    traffic = args.shape == "traffic"
     for writes in (20, args.writes):
         t0 = time.perf_counter()
-        workload(writes, args.shape)
+        result = workload(writes, args.shape)
         host = time.perf_counter() - t0
-        print(f"{writes:4d} writes/client: {host:6.2f} s host, "
-              f"{host / (16 * writes) * 1e6:6.0f} us per write")
+        if traffic:
+            print(f"{writes:4d} requests/client: {host:6.2f} s host, "
+                  f"{host / client_ops(result) * 1e6:6.0f} us per request")
+        else:
+            print(f"{writes:4d} writes/client: {host:6.2f} s host, "
+                  f"{host / (16 * writes) * 1e6:6.0f} us per write")
     print()
 
     profiler = cProfile.Profile()
@@ -155,9 +185,14 @@ def main() -> int:
     result = workload(args.writes, args.shape)
     profiler.disable()
 
-    print(f"simulated: {result.bytes_written / 2**20:.0f} MB written, "
-          f"bandwidth {result.bandwidth / 1e9:.2f} GB/s "
-          f"(simulated time {result.total_time * 1e3:.1f} ms)\n")
+    if traffic:
+        print(f"simulated: {result.completed} requests, goodput "
+              f"{result.goodput / 1e3:.1f} kops/s "
+              f"(makespan {result.makespan * 1e3:.1f} ms)\n")
+    else:
+        print(f"simulated: {result.bytes_written / 2**20:.0f} MB written, "
+              f"bandwidth {result.bandwidth / 1e9:.2f} GB/s "
+              f"(simulated time {result.total_time * 1e3:.1f} ms)\n")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     return 0

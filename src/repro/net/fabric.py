@@ -105,6 +105,7 @@ class Node:
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         # RPC bookkeeping (populated by repro.net.rpc).
         self.pending_replies: Dict[int, Any] = {}
+        self.retry_deadlines = None
         # Traffic counters.
         self.bytes_sent = 0
         self.bytes_received = 0

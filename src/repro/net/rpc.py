@@ -2,11 +2,15 @@
 
 Mirrors the shape of the paper's CaRT stack:
 
-* every server-side service drains its inbox through a single dispatcher
-  that charges ``1/ops`` per request — this is the 213 kOPS serialization
-  point measured in §V-A, and the ``1/(OPS*D)`` term of Equation (1);
-* the dispatcher calls each handler synchronously; a handler that returns
-  a generator gets one simulation process of its own (the generator runs
+* every server-side service drains its FIFO queue through a single
+  dispatcher that charges ``1/ops`` per request — this is the 213 kOPS
+  serialization point measured in §V-A, and the ``1/(OPS*D)`` term of
+  Equation (1).  The dispatcher is next-free-time bookkeeping, as the
+  fabric's NICs are, not a process: each message costs one kernel event,
+  at the instant its charge ends (the current instant for a zero-cost
+  message), and that event runs the handler;
+* handlers run synchronously in that event; a handler that returns a
+  generator gets one simulation process of its own (the generator runs
   inside it via ``yield from``), so a slow handler never blocks the
   dispatcher, and a lock server can keep a request queued for an
   arbitrary time (normal grant waiting on a conflicting lock) without
@@ -15,20 +19,24 @@ Mirrors the shape of the paper's CaRT stack:
   immediate-reply style (data-server IO) and the deferred-grant style
   (lock servers).
 
+:func:`rpc_call_retry` waits on the reply future itself.  Its timeouts
+are deadlines in one min-heap per node behind a single lazily re-armed
+kernel entry, so a call whose reply comes in time costs no timer event.
+
 One-way messages (server -> client revocation callbacks) use the same
-machinery with ``expects_reply=False``.
+machinery with ``req_id = -1``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional, Tuple, Union
 
 from repro.config import DictConfigMixin
-from repro.net.fabric import Fabric, Message, Node, UnknownServiceError
-from repro.sim.core import Event, Interrupt, SimulationError, Simulator
-from repro.sim.resources import Store
+from repro.net.fabric import Fabric, Message, Node
+from repro.sim.core import NORMAL, Event, Simulator
 
 __all__ = ["RpcError", "RpcTimeoutError", "RetryPolicy", "AdmissionConfig",
            "Rejected", "Request", "RpcService", "rpc_call",
@@ -94,7 +102,7 @@ class AdmissionConfig(DictConfigMixin):
     """Server-side admission control: bound a service's request queue.
 
     An open-loop workload can offer more load than a server's OPS limit
-    can drain; without admission control the inbox grows without bound
+    can drain; without admission control the queue grows without bound
     and every request's sojourn time diverges.  With a ``queue_limit``
     the server sheds excess load instead:
 
@@ -236,24 +244,26 @@ class RpcService:
         #: The measured OPS of an RPC stack is for request-reply round
         #: trips; one-way notifications are cheaper to dispatch.
         self.cost_fn = cost_fn
-        self.inbox: Store = Store(self.sim)
+        #: Waiting ``(message, enqueue instant)`` pairs, FIFO; the message
+        #: in dispatch is not in it.  The enqueue instants feed the
+        #: queue-wait histogram (they cover fault-delayed deliveries, which
+        #: ``Message.deliver_time`` does not).
+        self._queue: deque = deque()
+        #: A dispatch event is scheduled (the dispatcher is not idle).
+        self._busy = False
         self.requests_handled = 0
         self.duplicates_suppressed = 0
         self.dedup_expired = 0
         self.messages_enqueued = 0
         self.messages_dequeued = 0
         self.queue_depth_max = 0
-        #: Optional bounded-queue policy; None = classic unbounded inbox.
+        #: Optional bounded-queue policy; None = classic unbounded queue.
         self.admission = admission
         self.admission_rejected = 0
         self.admission_shed = 0
         #: Cumulative simulated dispatch time (weight * 1/OPS per message)
         #: — busy/elapsed is the OPS-saturation ratio of Equation (1).
         self.busy_time = 0.0
-        #: Enqueue instants, parallel to the FIFO inbox, feeding the
-        #: queue-wait histogram (covers fault-delayed deliveries, which
-        #: ``Message.deliver_time`` does not).
-        self._enqueue_times: deque = deque()
         reg = getattr(self.sim, "metrics", None)
         self._wait_hist = (reg.histogram(f"rpc.{name}.wait_time",
                                          unit="seconds", owner="net.rpc")
@@ -265,44 +275,37 @@ class RpcService:
             self.enable_dedup(dedup_capacity, dedup_ttl)
         self.halted = False
         node.register_service(name, self._enqueue)
-        self._dispatcher = self.sim.spawn(self._dispatch(),
-                                          name=f"{node.name}/{name}")
 
     def halt(self) -> None:
         """Permanently stop the dispatcher (fail-stop node kill).
 
-        Queued and future messages are never dispatched again; the
-        service's counters are left intact for post-mortem metrics.
-        Idempotent, and safe whether the dispatcher is idle on the inbox
-        or mid-dispatch charging service time.
+        Queued and future messages are never dispatched again, and a
+        message whose dispatch is being charged is dropped; the service's
+        counters are left intact for post-mortem metrics.  Idempotent.
         """
-        if self.halted:
-            return
         self.halted = True
-        try:
-            self._dispatcher.interrupt("halt")
-        except SimulationError:
-            pass  # already terminated (simulation winding down)
 
     def _enqueue(self, msg: Message) -> None:
         adm = self.admission
+        queue = self._queue
         if (adm is not None and adm.policy != "block"
-                and len(self.inbox) >= adm.queue_limit):
+                and len(queue) >= adm.queue_limit):
             if adm.policy == "reject":
                 self.admission_rejected += 1
                 self._send_rejection(msg)
                 return
             # shed-oldest: admit the newcomer, refuse the oldest queued.
-            shed = self.inbox.pop_oldest()
-            self._enqueue_times.popleft()
+            shed, _enqueued_at = queue.popleft()
             self.admission_shed += 1
             self._send_rejection(shed)
         self.messages_enqueued += 1
-        self._enqueue_times.append(self.sim.now)
-        self.inbox.put(msg)
-        depth = len(self.inbox)
-        if depth > self.queue_depth_max:
-            self.queue_depth_max = depth
+        if self._busy:
+            queue.append((msg, self.sim.now))
+            depth = len(queue)
+            if depth > self.queue_depth_max:
+                self.queue_depth_max = depth
+        else:
+            self._start(msg, self.sim.now)
 
     def _send_rejection(self, msg: Message) -> None:
         """Tell ``msg``'s sender to back off (no-op for one-way sends).
@@ -314,7 +317,7 @@ class RpcService:
         if msg.req_id < 0:
             return
         hint = max(self.admission.min_retry_after,
-                   (len(self.inbox) + 1.0) * self.service_time)
+                   (len(self._queue) + 1.0) * self.service_time)
         self.node.fabric.send(Message(
             src=self.node, dst=msg.src, service=msg.service,
             payload=Rejected(service=self.name, retry_after=hint),
@@ -382,36 +385,47 @@ class RpcService:
             self._dedup[key] = ((payload, nbytes), self.sim.now)
             self._dedup.move_to_end(key)
 
-    def _dispatch(self) -> Generator:
-        try:
-            yield from self._dispatch_loop()
-        except Interrupt:
-            return  # halted: a killed sequencer dispatches nothing more
+    # ------------------------------------------------------------ dispatcher
+    # Next-free-time bookkeeping, as the fabric does for NICs: taking a
+    # message off the queue charges its ``weight/OPS`` at once and
+    # schedules one event at the instant that charge ends, which runs the
+    # handler.  A message is taken off when it arrives at an idle
+    # dispatcher, or when the previous dispatch ends with more queued.
 
-    def _dispatch_loop(self) -> Generator:
+    def _start(self, msg: Message, enqueued_at: float) -> None:
         sim = self.sim
-        while True:
-            msg = yield self.inbox.get()
-            self.messages_dequeued += 1
-            if self._wait_hist is not None:
-                self._wait_hist.observe(
-                    sim.now - self._enqueue_times.popleft())
-            else:
-                self._enqueue_times.popleft()
-            if self.service_time:
-                weight = self.cost_fn(msg) if self.cost_fn else 1.0
-                if weight > 0:
-                    cost = self.service_time * weight
-                    self.busy_time += cost
-                    yield cost  # direct delay: kernel fast path
-            if self._dedup_check(msg):
-                continue
+        self._busy = True
+        self.messages_dequeued += 1
+        if self._wait_hist is not None:
+            self._wait_hist.observe(sim.now - enqueued_at)
+        cost = 0.0
+        if self.service_time:
+            weight = self.cost_fn(msg) if self.cost_fn else 1.0
+            if weight > 0:
+                cost = self.service_time * weight
+                self.busy_time += cost
+        # A zero-cost message still gets an event of its own at the
+        # current instant: a handler never runs inside a fabric arrival.
+        ev = Event(sim)
+        ev._value = msg
+        ev.callbacks.append(self._on_dispatch)
+        sim._push_delayed(ev, cost, NORMAL)
+
+    def _on_dispatch(self, ev: Event) -> None:
+        if self.halted:
+            return  # a killed sequencer dispatches nothing more
+        msg = ev._value
+        if not self._dedup_check(msg):
             self.requests_handled += 1
             req = Request(self, msg)
             result = self.handler(req)
             if result is not None:
-                sim.spawn(self._run_handler(req, result),
-                          name=f"{self.name}-handler")
+                self.sim.spawn(self._run_handler(req, result),
+                               name=f"{self.name}-handler")
+        if self._queue:
+            self._start(*self._queue.popleft())
+        else:
+            self._busy = False
 
     def _run_handler(self, req: Request, gen: Generator) -> Generator:
         # The handler runs inside this one process: an exception it raises
@@ -424,7 +438,7 @@ class RpcService:
 
     @property
     def queue_depth(self) -> int:
-        return len(self.inbox)
+        return len(self._queue)
 
 
 def rpc_call(src: Node, dst: Node, service: str, payload: Any,
@@ -446,9 +460,74 @@ def rpc_call(src: Node, dst: Node, service: str, payload: Any,
     return future
 
 
-#: Sentinel carried by retry timers so replies can never be confused
-#: with a timeout (a reply payload could legitimately be any value).
-_RETRY_TIMEOUT = object()
+class _Expired:
+    """What an expired deadline sends the waiting caller: the fresh reply
+    future already registered under the call's ``req_id``.  A private
+    type, so no reply payload can be mistaken for it."""
+
+    __slots__ = ("future",)
+
+    def __init__(self, future: Event):
+        self.future = future
+
+
+class _RetryDeadlines:
+    """The deadlines of one node's waiting :func:`rpc_call_retry` calls.
+
+    A min-heap behind a single kernel entry, re-armed lazily, as TCP
+    keeps one retransmission timer per connection.  A call is waiting on
+    a deadline while its future is still the one registered under its
+    ``req_id``.  A reply (the router pops that entry) or a ``Rejected``
+    re-registration leaves the deadline in the heap, and the entry skips
+    it when re-arming.
+
+    Each deadline takes a kernel sequence number when it is added, where
+    a per-call timeout would have been pushed, and the entry is armed
+    under that key.  So deadlines expire one at a time, at the instant
+    and in the order per-call timeouts would have fired.
+    """
+
+    __slots__ = ("sim", "pending", "_heap", "_armed")
+
+    def __init__(self, node: Node):
+        self.sim = node.sim
+        self.pending = node.pending_replies
+        #: ``[deadline, seq, req_id, future, kernel entry or None]``.
+        self._heap: list = []
+        #: The item the kernel entry is armed for (None: nothing armed).
+        self._armed: Optional[list] = None
+
+    def add(self, deadline: float, req_id: int, future: Event) -> None:
+        item = [deadline, self.sim._reserve_seq(), req_id, future, None]
+        heappush(self._heap, item)
+        armed = self._armed
+        if armed is None or deadline < armed[0]:
+            self._arm(item)
+
+    def _arm(self, item: list) -> None:
+        self._armed = item
+        if item[4] is None:  # else: an entry superseded earlier, reused
+            ev = item[4] = Event(self.sim)
+            ev.callbacks.append(self._fire)
+            self.sim._push_reserved(ev, item[0], item[1])
+
+    def _fire(self, ev: Event) -> None:
+        armed = self._armed
+        if armed is None or ev is not armed[4]:
+            return  # superseded, and its call stopped waiting since
+        pending = self.pending
+        heap = self._heap
+        _deadline, _seq, req_id, future, _ev = heappop(heap)  # == armed
+        if pending.get(req_id) is future:
+            # Re-register first: a reply landing before the caller
+            # resumes completes the call through the fresh future.
+            fresh = pending[req_id] = Event(self.sim)
+            future.succeed(_Expired(fresh))
+        while heap and pending.get(heap[0][2]) is not heap[0][3]:
+            heappop(heap)
+        self._armed = None
+        if heap:
+            self._arm(heap[0])
 
 
 def rpc_call_retry(src: Node, dst: Node, service: str, payload: Any,
@@ -487,43 +566,47 @@ def rpc_call_retry(src: Node, dst: Node, service: str, payload: Any,
     policy = policy or RetryPolicy()
     fabric: Fabric = src.fabric
     sim = src.sim
+    deadlines = src.retry_deadlines
+    if deadlines is None:
+        deadlines = src.retry_deadlines = _RetryDeadlines(src)
+    pending = src.pending_replies
     req_id = fabric.next_req_id()
-    future = sim.event()
-    src.pending_replies[req_id] = future
+    future = pending[req_id] = Event(sim)
     attempts = policy.max_retries + 1
-    for attempt in range(attempts):
-        if attempt and on_retry is not None:
-            on_retry(attempt)
-        if dst_fn is not None:
-            dst = dst_fn()
-        msg = Message(src=src, dst=dst, service=service, payload=payload,
-                      nbytes=nbytes, req_id=req_id)
-        try:
-            fabric.send(msg)
-        except UnknownServiceError:
-            src.pending_replies.pop(req_id, None)
-            raise
-        timer = sim.timeout(policy.timeout_for(attempt, rng),
-                            value=_RETRY_TIMEOUT)
-        result = yield sim.any_of([future, timer])
-        if future in result:
-            value = result[future]
+    try:
+        for attempt in range(attempts):
+            if attempt and on_retry is not None:
+                on_retry(attempt)
+            if dst_fn is not None:
+                dst = dst_fn()
+            fabric.send(Message(src=src, dst=dst, service=service,
+                                payload=payload, nbytes=nbytes,
+                                req_id=req_id))
+            deadlines.add(sim.now + policy.timeout_for(attempt, rng),
+                          req_id, future)
+            value = yield future
+            if value.__class__ is _Expired:
+                future = value.future
+                continue
             if not isinstance(value, Rejected):
                 return value
             # Server-side admission refusal: honor the retry-after hint,
             # then fall through to the resend.  Re-arm a fresh future
             # under the *same* req_id so a late reply to any earlier
             # attempt (the router popped the old future) still lands.
-            future = sim.event()
-            src.pending_replies[req_id] = future
+            future = pending[req_id] = Event(sim)
             backoff = value.retry_after
             if policy.jitter and rng is not None:
                 backoff *= 1.0 + policy.jitter * (2.0 * rng.uniform() - 1.0)
             yield backoff
-    src.pending_replies.pop(req_id, None)
-    raise RpcTimeoutError(
-        f"rpc {service!r} to {dst.name!r} unanswered after "
-        f"{attempts} attempts")
+        raise RpcTimeoutError(
+            f"rpc {service!r} to {dst.name!r} unanswered after "
+            f"{attempts} attempts")
+    finally:
+        # Unanswered (timed out, refused at send, interrupted): stop
+        # routing replies to this call and retire its pending deadline.
+        if pending.get(req_id) is future:
+            del pending[req_id]
 
 
 def one_way(src: Node, dst: Node, service: str, payload: Any,

@@ -363,6 +363,18 @@ class Process(Event):
         self._target = None
 
     # -- internal ----------------------------------------------------------
+    def _finish(self, value: Any) -> None:
+        """Complete with ``value``.  With nobody joined, the process is
+        marked processed in place: a completion event would run no
+        callback, and a late joiner resumes at once (see
+        :meth:`_resume_impl`)."""
+        if self.callbacks:
+            self.succeed(value, priority=HIGH)
+        else:
+            self._value = value
+            self.callbacks = None
+            self._processed = True
+
     def _resume_impl(self, event: Event) -> None:
         sim = self.sim
         send = self._send
@@ -375,7 +387,7 @@ class Process(Event):
                     result = self._throw(event._value)
             except StopIteration as stop:
                 self._target = None
-                self.succeed(stop.value, priority=HIGH)
+                self._finish(stop.value)
                 break
             except BaseException as exc:
                 self._target = None
@@ -606,6 +618,30 @@ class Simulator:
         if p > self._max_queue_len:
             self._max_queue_len = p
 
+    def _reserve_seq(self) -> int:
+        """Take the next sequence number without pushing anything."""
+        self._seq += 1
+        return self._seq
+
+    def _push_reserved(self, event: Event, when: float, seq: int) -> None:
+        """Push ``event`` under the key ``(when, NORMAL, seq)``, with
+        ``when > now`` and ``seq`` taken earlier by :meth:`_reserve_seq`.
+
+        For a deadline armed lazily: it fires at the exact instant it was
+        computed at (``now + (when - now)`` can round away from ``when``)
+        and in the place among equal-time events that a timeout pushed
+        when it was computed would have had."""
+        entry = (when, NORMAL, seq, event)
+        fut = self._fut
+        if not fut or entry > fut[-1]:
+            fut.append(entry)
+        else:
+            _heappush(self._heap, entry)
+        p = self._pending + 1
+        self._pending = p
+        if p > self._max_queue_len:
+            self._max_queue_len = p
+
     # Back-compat alias used by Event.fail and external triggering helpers.
     def _schedule(self, event: Event, delay: float, priority: int) -> None:
         self._push_delayed(event, delay, priority)
@@ -752,7 +788,7 @@ class Simulator:
                     try:
                         result = proc._send(None)
                     except StopIteration as stop:
-                        proc.succeed(stop.value, priority=0)
+                        proc._finish(stop.value)
                         continue
                     except BaseException as exc:
                         proc.fail(exc, priority=0)
@@ -902,7 +938,7 @@ class Simulator:
                     try:
                         result = proc._send(None)
                     except StopIteration as stop:
-                        proc.succeed(stop.value, priority=0)
+                        proc._finish(stop.value)
                         continue
                     except BaseException as exc:
                         proc.fail(exc, priority=0)

@@ -101,16 +101,6 @@ class Store:
         """Snapshot of queued items (read-only; for server introspection)."""
         return list(self._items)
 
-    def pop_oldest(self) -> Any:
-        """Remove and return the oldest queued item without waking getters.
-
-        Only valid while the queue is non-empty (a non-empty queue implies
-        no waiting getters); used by shed-oldest admission control.
-        """
-        if not self._items:
-            raise SimulationError("pop_oldest() on an empty store")
-        return self._items.popleft()
-
 
 class PriorityStore(Store):
     """A store whose ``get`` returns the smallest item first.

@@ -60,6 +60,35 @@ def test_profile_hotpath_events_mode_accounts_for_every_event(monkeypatch,
     assert any(kind == "Event Fabric._on_arrival" for *_n, kind in rows)
 
 
+def test_profile_hotpath_events_mode_covers_the_open_loop_retry_path(
+        monkeypatch, capsys):
+    code = run_script("scripts/profile_hotpath.py",
+                      ["--events", "--shape", "traffic", "--writes", "10"],
+                      monkeypatch)
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = lines[0].split()
+    assert head[:3] == ["traffic,", "10", "requests/client:"]
+    total, ops = int(head[3]), int(head[6])
+    assert ops > 0 and lines[0].endswith(f"(sim.events {total})")
+    rows = [line.split(None, 2) for line in lines[3:] if line.strip()]
+    assert sum(int(n) for n, _per_op, _kind in rows) == total
+    kinds = {kind for *_n, kind in rows}
+    # Every RPC here goes through rpc_call_retry, which arms no per-call
+    # condition or timer: the reply future resumes the caller directly.
+    assert "Event RpcService._on_dispatch" in kinds
+    assert not any("AnyOf" in kind for kind in kinds)
+
+
+def test_profile_hotpath_traffic_profile_runs(monkeypatch, capsys):
+    code = run_script("scripts/profile_hotpath.py",
+                      ["--shape", "traffic", "--writes", "4", "--top", "3"],
+                      monkeypatch)
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "us per request" in out and "goodput" in out
+
+
 def test_bench_record_appends_and_reports_delta(tmp_path, monkeypatch,
                                                 capsys):
     """`--from` turns a `bench/run.py --out` file into one history line;

@@ -305,3 +305,222 @@ def test_injected_duplicate_delivers_the_same_message_twice():
     (t1, m1), (t2, m2) = seen
     assert m1 is m2 and m1.payload == "twice"
     assert t2 - t1 == pytest.approx(1e-4)
+
+
+# ------------------------------------------------------ retry deadlines
+# rpc_call_retry keeps its deadlines in one per-node heap behind a single
+# lazily re-armed kernel entry; these pin that an expiry happens exactly
+# where a per-call timeout would have fired, and that no reply is lost
+# around it.
+
+def _park(server, name="park"):
+    """A service that never answers; returns the list of requests."""
+    seen = []
+    RpcService(server, name, lambda req: seen.append((req.sim.now, req)))
+    return seen
+
+
+def test_expiry_fires_at_exactly_now_plus_timeout_for_attempt():
+    from repro.net import RetryPolicy, RpcTimeoutError, rpc_call_retry
+    from repro.sim.rng import DeterministicRNG
+
+    sim, fab, client, server = setup_pair()
+    seen = _park(server)
+    policy = RetryPolicy(timeout=1e-3, backoff=2.0, max_retries=3,
+                         jitter=0.3)
+    retries, outcome = [], []
+
+    def caller(sim):
+        yield 0.25e-3
+        try:
+            yield from rpc_call_retry(
+                client, server, "park", None, policy=policy,
+                rng=DeterministicRNG(7).stream("retry"),
+                on_retry=lambda attempt: retries.append(sim.now))
+        except RpcTimeoutError:
+            outcome.append(sim.now)
+
+    sim.spawn(caller(sim))
+    sim.run()
+    # The same rng draws, in the same order, give the same instants.
+    rng = DeterministicRNG(7).stream("retry")
+    t, expected = 0.25e-3, []
+    for attempt in range(4):
+        t = t + policy.timeout_for(attempt, rng)
+        expected.append(t)
+    assert retries == expected[:3]
+    assert outcome == [expected[3]]
+    assert len(seen) == 4
+    assert client.pending_replies == {}
+
+
+def test_equal_deadlines_expire_in_the_order_their_calls_were_sent():
+    # c1's kernel entry is armed at an earlier deadline whose call gets
+    # its reply, so it is re-armed at B's deadline only after c2 has
+    # armed C's, which is the same instant.  Per-call timeouts would have
+    # fired B before C (B was sent first); so must the heap.
+    from repro.net import RetryPolicy, rpc_call_retry
+
+    sim = Simulator()
+    fab = Fabric(sim, NetworkConfig())
+    c1, c2, server = (fab.add_node(n) for n in ("c1", "c2", "server"))
+    RpcService(server, "echo", lambda req: req.respond(req.payload))
+    seen = _park(server)
+    policy = RetryPolicy(timeout=1e-3, max_retries=1)
+    order = []
+
+    def call(src, service, name, delay):
+        yield delay
+        try:
+            yield from rpc_call_retry(
+                src, server, service, name, policy=policy,
+                on_retry=lambda attempt: order.append((sim.now, name)))
+        except Exception:
+            pass
+
+    sim.spawn(call(c1, "echo", "A", 0.0))
+    sim.spawn(call(c1, "park", "B", 0.5e-3))
+    sim.spawn(call(c2, "park", "C", 0.5e-3))
+    sim.run()
+    deadline = 0.5e-3 + policy.timeout_for(0)
+    assert order == [(deadline, "B"), (deadline, "C")]
+    assert [req.payload for _t, req in seen] == ["B", "C", "B", "C"]
+
+
+def test_reply_landing_between_expiry_and_resume_completes_the_call():
+    # Request and reply each take exactly half the 1 ms timeout, so the
+    # reply lands at the deadline instant: after the expiry (its deadline
+    # was armed when the request left, before the reply was sent) and
+    # before the caller resumes.  The expiry has already re-registered a
+    # fresh future under the same req_id, so the reply completes the
+    # call; the resend still goes out.
+    from repro.net import RetryPolicy, rpc_call_retry
+
+    sim, fab, client, server = setup_pair(
+        latency=0.5e-3, per_message_overhead=0.0, bandwidth=float("inf"))
+    seen = []
+
+    def handler(req):
+        seen.append(req.msg.req_id)
+        req.respond(("reply", len(seen)))
+
+    RpcService(server, "svc", handler)
+    policy = RetryPolicy(timeout=1e-3, max_retries=3)
+    got = []
+
+    def caller(sim):
+        got.append((yield from rpc_call_retry(client, server, "svc", None,
+                                              policy=policy)))
+        got.append(sim.now)
+
+    sim.spawn(caller(sim))
+    sim.run()
+    assert got == [("reply", 1), 1e-3]
+    assert len(seen) == 2 and seen[0] == seen[1]  # one resend, same req_id
+    assert client.pending_replies == {}
+
+
+def test_late_reply_to_an_earlier_attempt_completes_the_call():
+    from repro.net import RetryPolicy, rpc_call_retry
+
+    sim, fab, client, server = setup_pair()
+    seen = _park(server)
+    policy = RetryPolicy(timeout=1e-3, max_retries=3)
+    retries, got = [], []
+
+    def answer_first(sim):
+        yield 1.5e-3  # after the first expiry, before the second
+        seen[0][1].respond("first")
+
+    def caller(sim):
+        got.append((yield from rpc_call_retry(
+            client, server, "park", None, policy=policy,
+            on_retry=retries.append)))
+        got.append(sim.now)
+
+    sim.spawn(caller(sim))
+    sim.spawn(answer_first(sim))
+    sim.run()
+    assert got[0] == "first" and 1.5e-3 < got[1] < 1e-3 + 2e-3
+    assert retries == [1]
+    assert len(seen) == 2
+    assert seen[0][1].msg.req_id == seen[1][1].msg.req_id
+    assert client.pending_replies == {}
+
+
+def test_rejected_backoff_rearms_a_deadline_for_the_resend():
+    # Attempt 0 is refused with a retry-after hint; its deadline stays in
+    # the heap and must not expire the resend.  The resend is parked, so
+    # attempt 1's own deadline has to fire; attempt 2 is answered.
+    from repro.net import RetryPolicy, rpc_call_retry
+    from repro.net.rpc import Rejected
+
+    sim, fab, client, server = setup_pair()
+    seen = []
+
+    def handler(req):
+        seen.append(sim.now)
+        if len(seen) == 1:
+            req.respond(Rejected(service="svc", retry_after=0.2e-3))
+        elif len(seen) == 3:
+            req.respond("done")
+
+    RpcService(server, "svc", handler)
+    policy = RetryPolicy(timeout=1e-3, backoff=2.0, max_retries=3)
+    retries, got = [], []
+
+    def caller(sim):
+        got.append((yield from rpc_call_retry(
+            client, server, "svc", None, policy=policy,
+            on_retry=lambda attempt: retries.append((attempt, sim.now)))))
+
+    sim.spawn(caller(sim))
+    sim.run()
+    assert got == ["done"]
+    (a1, resend), (a2, expiry) = retries
+    assert (a1, a2) == (1, 2)
+    assert resend < policy.timeout_for(0)  # refused, not expired
+    assert expiry == resend + policy.timeout_for(1)
+    assert len(seen) == 3
+    assert client.pending_replies == {}
+
+
+# ---------------------------------------------------------- dispatcher
+def test_halt_mid_charge_drops_the_message_and_the_queue():
+    sim, fab, client, server = setup_pair()
+    handled = []
+    svc = RpcService(server, "svc", lambda req: handled.append(req.payload),
+                     ops=100.0)  # 10 ms per message
+    for i in range(3):
+        one_way(client, server, "svc", i)
+
+    def killer(sim):
+        yield 5e-3  # inside the first message's charge
+        svc.halt()
+
+    sim.spawn(killer(sim))
+    sim.run()
+    assert handled == []
+    assert svc.messages_enqueued == 3
+    assert svc.messages_dequeued == 1
+    assert svc.queue_depth == 2
+    assert svc.busy_time == pytest.approx(0.01)
+    assert sim.now < 0.01 + 1e-3  # nothing charged after the halt
+
+
+@pytest.mark.parametrize("ops, cost_fn", [(float("inf"), None),
+                                          (100.0, lambda msg: 0.0)])
+def test_zero_cost_message_is_handled_in_its_own_event(ops, cost_fn):
+    sim, fab, client, server = setup_pair()
+    handled = []
+    RpcService(server, "svc", lambda req: handled.append(sim.now), ops=ops,
+               cost_fn=cost_fn)
+    one_way(client, server, "svc", None)
+    arrival, _lane = sim._select()
+    sim.step()  # the fabric delivery enqueues the message ...
+    assert handled == []
+    dispatch, _lane = sim._select()
+    sim.step()  # ... and the dispatch event runs the handler
+    assert handled == [arrival[0]]
+    assert dispatch[0] == arrival[0]
+    assert sim._select() == (None, None)

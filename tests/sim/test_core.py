@@ -105,6 +105,46 @@ def test_join_already_finished_process():
     assert result == [(5.0, "done")]
 
 
+@pytest.mark.parametrize("wait", ["direct", "timeout"])
+def test_unjoined_process_completes_in_place(wait):
+    # Nobody joined the child when it returned, so it schedules no
+    # completion event: its start and its one wait are all it costs.  A
+    # late joiner then resumes at once with the value, costing no event.
+    sim = Simulator()
+    result = []
+
+    def child(sim):
+        yield 1.0 if wait == "direct" else sim.timeout(1.0)
+        return "done"
+
+    def parent(sim, ch):
+        yield 3.0
+        v = yield ch
+        result.append((sim.now, v))
+
+    ch = sim.spawn(child(sim))
+    sim.run(until=2.0)
+    assert ch.processed and not ch.is_alive and ch.value == "done"
+    assert sim.events_processed == 2
+    sim.spawn(parent(sim, ch))
+    sim.run()
+    assert result == [(5.0, "done")]
+    assert sim.events_processed == 4  # + the parent's start and its delay
+
+
+@pytest.mark.parametrize("wait", ["direct", "timeout"])
+def test_failing_unjoined_process_still_raises_out_of_run(wait):
+    sim = Simulator()
+
+    def bad(sim):
+        yield 1.0 if wait == "direct" else sim.timeout(1.0)
+        raise KeyError("unjoined")
+
+    sim.spawn(bad(sim))
+    with pytest.raises(KeyError, match="unjoined"):
+        sim.run()
+
+
 def test_event_succeed_wakes_waiter():
     sim = Simulator()
     ev = sim.event()

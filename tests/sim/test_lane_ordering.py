@@ -128,3 +128,33 @@ def test_heap_fallback_direct_delay_still_resumes_exactly_once():
     sim.run()
     assert trace == ["early@1", "sibling@1", "tail@2"]
     assert sim.now == pytest.approx(2.0)
+
+
+def test_reserved_key_entry_pops_where_its_reservation_was_taken():
+    # A lazily armed deadline reserves its seq when it is computed and is
+    # pushed later under that key, possibly behind a fut tail with a
+    # larger seq at the same instant (heap fallback) or with a later
+    # deadline (fut append).  It must pop exactly where a timeout pushed
+    # at reservation time would have.
+    from repro.sim.core import Event
+
+    sim = Simulator()
+    trace = []
+    sim.timeout(1.0).add_callback(_tag(trace, "first@1"))
+    seq_mid = sim._reserve_seq()
+    seq_late = sim._reserve_seq()
+    sim.timeout(1.0).add_callback(_tag(trace, "last@1"))
+    sim.timeout(0.5).add_callback(_tag(trace, "t@0.5"))
+
+    def push(label, when, seq):
+        ev = Event(sim)
+        ev.callbacks.append(_tag(trace, label))
+        sim._push_reserved(ev, when, seq)
+
+    push("reserved@1", 1.0, seq_mid)      # equal time, smaller seq: heap
+    push("reserved@3", 3.0, seq_late)     # later than the tail: fut
+    assert sim.queue_length == 5
+    sim.run()
+    assert trace == ["t@0.5", "first@1", "reserved@1", "last@1",
+                     "reserved@3"]
+    assert sim.queue_length == 0 and sim.max_queue_length == 5

@@ -109,10 +109,9 @@ def count_events(run):
 
     def stepping(sim, event, max_events=None):
         while not event._processed:
-            head, _lane = sim._select()
-            if head is None:
+            if not sim._heap:
                 raise SimulationError("deadlock: event can never trigger")
-            kinds[event_kind(head)] += 1
+            kinds[event_kind(sim._heap[0])] += 1
             sim.step()
 
     Simulator.run_until_event = stepping

@@ -10,7 +10,7 @@ processes as generators that yield events) but is purpose-built for this
 project: it is fully deterministic (ties in simulated time are broken by a
 monotonic sequence number), it supports priorities for modelling server-side
 background tasks, and it exposes the small set of synchronisation primitives
-the paper's choreographed experiments need (barriers, channels, latches).
+the paper's choreographed experiments need (barriers, channels, gates).
 
 Typical usage::
 
@@ -35,8 +35,8 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import Resource, Store, PriorityStore
-from repro.sim.sync import Barrier, Channel, CountDownLatch, Gate
+from repro.sim.resources import Store
+from repro.sim.sync import Barrier, Channel, Gate
 from repro.sim.rng import DeterministicRNG
 
 __all__ = [
@@ -44,14 +44,11 @@ __all__ = [
     "AnyOf",
     "Barrier",
     "Channel",
-    "CountDownLatch",
     "DeterministicRNG",
     "Event",
     "Gate",
     "Interrupt",
-    "PriorityStore",
     "Process",
-    "Resource",
     "SimulationError",
     "Simulator",
     "Store",

@@ -7,56 +7,32 @@ The design mirrors simpy's proven architecture:
   schedule and *processed* (callbacks run) when the clock reaches their due
   time.
 * A :class:`Process` wraps a generator.  Each value the generator yields
-  must be an :class:`Event` **or a plain delay** (``float``/``int`` — the
-  fast path); the process suspends until the event is processed (or the
-  delay elapses), at which point the event's value is sent back into the
-  generator (or its exception thrown into it).
+  must be an :class:`Event` **or a plain delay** (``float``/``int``); the
+  process suspends until the event is processed (or the delay elapses), at
+  which point the event's value is sent back into the generator (or its
+  exception thrown into it).
 * The :class:`Simulator` owns the clock and the schedule.  Determinism is
   guaranteed by breaking time ties with ``(priority, sequence)`` so two runs
   with the same seed interleave identically.
 
-Scheduling fast path
---------------------
-The paper-scale experiments process hundreds of millions of events, and at
-that volume the dominant cost of a binary-heap kernel is ``heappop``: ~13
-tuple comparisons per event at realistic queue depths.  The schedule is
-therefore split into four lanes, each cheap for one traffic class, with the
-binary heap demoted to a fallback:
+The schedule
+------------
+The schedule is one ``heapq`` list of ``(time, priority, seq, event)``
+entries; a direct delay (below) pushes ``(time, priority, seq, None,
+process)``.  ``seq`` counts pushes, so keys are unique and entries pop in
+exact ``(time, priority, seq)`` order: the one contract every golden
+digest leans on (tests/integration/test_determinism.py).  Every push goes
+through :meth:`Simulator._push`; :meth:`Simulator.run`,
+:meth:`Simulator.run_until_event` and :meth:`Simulator.step` share one
+dispatch loop, :meth:`Simulator._loop`.  An entry at ``+inf`` never fires.
+A trigger delay that is negative or NaN raises :class:`SimulationError`
+where it is given.
 
-``_imm_high`` / ``_imm_norm``
-    Deques of zero-delay triggers (``succeed()``/``fail()`` at the current
-    time, process starts and completions, store hand-offs).  Entries are
-    appended with the current timestamp and monotonically increasing
-    sequence numbers, so each deque is sorted by construction.
-``_fut``
-    A deque of future entries appended only while their ``(time,
-    priority)`` key is >= the current tail's — the common pattern of
-    homogeneous timeout trains (think-time loops, heartbeats, barrier
-    rounds) stays sorted by construction and never touches the heap.
-``_heap``
-    Classic ``heapq`` fallback for out-of-order future entries (fabric
-    deliveries with heterogeneous latencies, retry backoff).
-
-Every push increments a global sequence number exactly as the single-heap
-kernel did, and each pop takes the globally minimal ``(time, priority,
-seq)`` across the four lane heads, so the processing order — and therefore
-every MetricsSnapshot — is byte-identical to the original kernel (see the
-golden digests in tests/integration/test_determinism.py).
-
-Two further fast paths cut per-event constant factors:
-
-* **Direct delays**: a process may ``yield 1.5e-6`` instead of ``yield
-  sim.timeout(1.5e-6)``.  No Timeout object, callbacks list, or dispatch
-  call is created; the scheduler stores ``(time, NORMAL, seq, None,
-  process)`` and resumes the generator directly from the run loop.  The
-  hot run loops go one step further and send into the generator *in
-  place* — no ``_resume`` frame at all — handing only the uncommon
-  outcomes (process end, event yields, usage errors) back to the
-  general resume path.
-* **Timeout free-list**: processed :class:`Timeout` objects are recycled
-  when the run loop can prove (via ``sys.getrefcount``) that it holds the
-  sole remaining reference, so user code that keeps a timeout alive
-  (condition dicts, stored handles) always keeps its object.
+A process may ``yield 1.5e-6`` instead of ``yield sim.timeout(1.5e-6)``
+(a *direct delay*): no Timeout object or callbacks list is created; the
+entry names the process and the loop resumes it directly.  An interrupt
+invalidates the pending entry, which then pops as a no-op.  A negative or
+NaN direct delay is thrown into the process as a :class:`SimulationError`.
 
 ``sim.metrics`` is consulted only at snapshot time by the metrics layer —
 the dispatch loop itself carries zero metrics branches when it is None.
@@ -65,7 +41,6 @@ the dispatch loop itself carries zero metrics branches when it is None.
 from __future__ import annotations
 
 import sys
-from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -88,24 +63,11 @@ HIGH = 0
 NORMAL = 1
 LOW = 2
 
-#: Timeout free-list bound; beyond this, processed timeouts are simply
-#: dropped to the allocator.
-_FREE_MAX = 4096
-
 #: Stand-in for "no budget": any practical event count is below 2**63.
 _UNLIMITED = 0x7FFFFFFFFFFFFFFF
 
-#: Sentinel schedule entry greater than any real one (time = +inf).
-_INF = float("inf")
-_END = (_INF,)
-
-#: Free-list recycling relies on exact reference counts; only CPython
-#: guarantees them (the guard disables recycling elsewhere).
-if sys.implementation.name == "cpython":
-    _getrefcount = sys.getrefcount
-else:  # pragma: no cover - non-CPython fallback
-    def _getrefcount(_obj: Any) -> int:
-        return 3  # never matches the sole-reference pattern
+#: The latest time an entry can fire at: one at +inf never does.
+_LAST = sys.float_info.max
 
 
 class SimulationError(RuntimeError):
@@ -171,36 +133,9 @@ class Event:
         """Trigger the event successfully with ``value``."""
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
+        self.sim._push_delayed(self, delay, priority)
         self._ok = True
         self._value = value
-        # Inlined zero-delay scheduling: succeed() at the current time is
-        # the hottest trigger in the RPC/store paths.
-        sim = self.sim
-        sim._seq += 1
-        if delay == 0.0:
-            entry = (sim._now, priority, sim._seq, self)
-            if priority == 1:
-                sim._imm_norm.append(entry)
-            elif priority == 0:
-                sim._imm_high.append(entry)
-            else:
-                _heappush(sim._heap, entry)
-        else:
-            t = sim._now + delay
-            entry = (t, priority, sim._seq, self)
-            fut = sim._fut
-            if fut:
-                tail = fut[-1]
-                if t > tail[0] or (t == tail[0] and tail[1] <= priority):
-                    fut.append(entry)
-                else:
-                    _heappush(sim._heap, entry)
-            else:
-                fut.append(entry)
-        p = sim._pending + 1
-        sim._pending = p
-        if p > sim._max_queue_len:
-            sim._max_queue_len = p
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0,
@@ -216,9 +151,9 @@ class Event:
             raise SimulationError(f"fail() needs an exception, got {exc!r}")
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
+        self.sim._push_delayed(self, delay, priority)
         self._ok = False
         self._value = exc
-        self.sim._schedule(self, delay, priority)
         return self
 
     def defuse(self) -> None:
@@ -247,18 +182,6 @@ class Event:
 _PENDING = Event.PENDING
 
 
-def _throw_usage(proc: "Process", exc: SimulationError) -> None:
-    """Resume ``proc`` by throwing a kernel-usage error into its generator.
-
-    Mirrors the error spin at the bottom of :meth:`Process._resume_impl`
-    (a pre-failed event handed to the resume loop), factored out so the
-    inlined run-loop dispatch can share it.
-    """
-    event = Event(proc.sim)
-    event._ok = False
-    event._value = exc
-    proc._resume(event)
-
 #: Shared pre-processed event used to resume a process from a direct
 #: (plain-number) delay: the resume path only reads ``_ok``/``_value``.
 _NULL_EVENT = Event.__new__(Event)
@@ -269,6 +192,10 @@ _NULL_EVENT._ok = True
 _NULL_EVENT._processed = True
 _NULL_EVENT._defused = False
 
+#: Stand-in target for the loops that run to a time, not to an event.
+_NEVER = Event.__new__(Event)
+_NEVER._processed = False
+
 
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
@@ -277,8 +204,6 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  priority: int = NORMAL):
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
         self.sim = sim
         self.callbacks = []
         self._value = value
@@ -301,12 +226,7 @@ class Initialize(Event):
         self._ok = True
         self._processed = False
         self._defused = False
-        sim._seq += 1
-        sim._imm_high.append((sim._now, 0, sim._seq, self))
-        p = sim._pending + 1
-        sim._pending = p
-        if p > sim._max_queue_len:
-            sim._max_queue_len = p
+        sim._push_delayed(self, 0.0, HIGH)
 
 
 class Process(Event):
@@ -398,37 +318,11 @@ class Process(Event):
             if cls is float or cls is int:
                 # Direct delay: schedule the process itself — no Timeout
                 # object, no callbacks list, no dispatch call.
-                if result > 0:
-                    sim._seq += 1
-                    seq = sim._seq
-                    t = sim._now + result
-                    entry = (t, 1, seq, None, self)
-                    fut = sim._fut
-                    if fut:
-                        tail = fut[-1]
-                        if t > tail[0] or (t == tail[0] and tail[1] <= 1):
-                            fut.append(entry)
-                        else:
-                            _heappush(sim._heap, entry)
-                    else:
-                        fut.append(entry)
+                if result >= 0:
+                    sim._seq = seq = sim._seq + 1
+                    sim._push((sim._now + result, NORMAL, seq, None, self))
                     self._dwait = seq
                     self._target = None
-                    p = sim._pending + 1
-                    sim._pending = p
-                    if p > sim._max_queue_len:
-                        sim._max_queue_len = p
-                    break
-                if result == 0:
-                    sim._seq += 1
-                    seq = sim._seq
-                    sim._imm_norm.append((sim._now, 1, seq, None, self))
-                    self._dwait = seq
-                    self._target = None
-                    p = sim._pending + 1
-                    sim._pending = p
-                    if p > sim._max_queue_len:
-                        sim._max_queue_len = p
                     break
                 exc = SimulationError(
                     f"process {self.name!r} yielded negative delay {result!r}")
@@ -510,19 +404,14 @@ class AllOf(Condition):
 
 
 class Simulator:
-    """The event loop: owns the clock, the schedule lanes, and processes."""
+    """The event loop: owns the clock, the schedule, and processes."""
 
     def __init__(self):
         self._now: float = 0.0
         self._heap: list = []
-        self._fut: deque = deque()
-        self._imm_high: deque = deque()
-        self._imm_norm: deque = deque()
-        self._pending: int = 0
         self._seq: int = 0
         self._event_count: int = 0
         self._max_queue_len: int = 0
-        self._free: list = []
         #: Optional MetricsRegistry; components reach it via their node's
         #: sim so instrumentation needs no extra plumbing (None = off).
         self.metrics = None
@@ -540,7 +429,7 @@ class Simulator:
     @property
     def queue_length(self) -> int:
         """Number of currently scheduled (pending) entries."""
-        return self._pending
+        return len(self._heap)
 
     @property
     def max_queue_length(self) -> int:
@@ -553,35 +442,11 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None,
                 priority: int = NORMAL) -> Timeout:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.callbacks = []
-            ev._value = value
-            ev._ok = True
-            ev._processed = False
-            ev._defused = False
-            ev.delay = delay
-        else:
-            ev = Timeout.__new__(Timeout)
-            ev.sim = self
-            ev.callbacks = []
-            ev._value = value
-            ev._ok = True
-            ev._processed = False
-            ev._defused = False
-            ev.delay = delay
-        self._push_delayed(ev, delay, priority)
-        return ev
+        return Timeout(self, delay, value, priority)
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from a generator."""
         return Process(self, gen, name)
-
-    # Alias matching simpy terminology.
-    process = spawn
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -590,33 +455,24 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
+    def _push(self, entry: tuple) -> None:
+        """Put ``entry`` on the schedule; the one place that does."""
+        heap = self._heap
+        _heappush(heap, entry)
+        if len(heap) > self._max_queue_len:
+            self._max_queue_len = len(heap)
+
     def _push_delayed(self, event: Event, delay: float, priority: int) -> None:
-        """Route a push of ``event`` at ``now + delay`` to the right lane."""
-        self._seq += 1
+        """Schedule ``event`` at ``now + delay``; a negative or NaN delay
+        raises :class:`SimulationError` here, at the trigger."""
         if delay == 0.0:
-            entry = (self._now, priority, self._seq, event)
-            if priority == 1:
-                self._imm_norm.append(entry)
-            elif priority == 0:
-                self._imm_high.append(entry)
-            else:
-                _heappush(self._heap, entry)
+            when = self._now
+        elif delay > 0.0:
+            when = self._now + delay
         else:
-            t = self._now + delay
-            entry = (t, priority, self._seq, event)
-            fut = self._fut
-            if fut:
-                tail = fut[-1]
-                if t > tail[0] or (t == tail[0] and tail[1] <= priority):
-                    fut.append(entry)
-                else:
-                    _heappush(self._heap, entry)
-            else:
-                fut.append(entry)
-        p = self._pending + 1
-        self._pending = p
-        if p > self._max_queue_len:
-            self._max_queue_len = p
+            raise SimulationError(f"invalid delay {delay!r}")
+        self._seq = seq = self._seq + 1
+        self._push((when, priority, seq, event))
 
     def _reserve_seq(self) -> int:
         """Take the next sequence number without pushing anything."""
@@ -631,75 +487,52 @@ class Simulator:
         computed at (``now + (when - now)`` can round away from ``when``)
         and in the place among equal-time events that a timeout pushed
         when it was computed would have had."""
-        entry = (when, NORMAL, seq, event)
-        fut = self._fut
-        if not fut or entry > fut[-1]:
-            fut.append(entry)
-        else:
-            _heappush(self._heap, entry)
-        p = self._pending + 1
-        self._pending = p
-        if p > self._max_queue_len:
-            self._max_queue_len = p
+        self._push((when, NORMAL, seq, event))
 
-    # Back-compat alias used by Event.fail and external triggering helpers.
-    def _schedule(self, event: Event, delay: float, priority: int) -> None:
-        self._push_delayed(event, delay, priority)
+    # -- running --------------------------------------------------------------
+    def _loop(self, target: Event, until: float, budget: int) -> int:
+        """Process entries in key order until ``target`` is processed, the
+        schedule holds nothing at or before ``until``, or ``budget``
+        entries have been processed; return how many were.
 
-    def _select(self):
-        """Head entry with the globally minimal (time, priority, seq) key,
-        plus its source lane; (None, None) when nothing is scheduled."""
+        ``until`` never exceeds :data:`_LAST`, so an entry at +inf stays
+        put.  The event count is flushed even when a callback raises."""
         heap = self._heap
-        best = heap[0] if heap else _END
-        src = heap
-        fut = self._fut
-        if fut:
-            e = fut[0]
-            if e < best:
-                best = e
-                src = fut
-        inorm = self._imm_norm
-        if inorm:
-            e = inorm[0]
-            if e < best:
-                best = e
-                src = inorm
-        ih = self._imm_high
-        if ih:
-            e = ih[0]
-            if e < best:
-                best = e
-                src = ih
-        if best is _END:
-            return None, None
-        return best, src
+        n = 0
+        try:
+            while n < budget and heap and not target._processed:
+                entry = heap[0]
+                if entry[0] > until:
+                    break
+                _heappop(heap)
+                n += 1
+                self._now = entry[0]
+                ev = entry[3]
+                if ev is None:
+                    proc = entry[4]
+                    if proc._dwait == entry[2]:
+                        proc._dwait = 0
+                        proc._resume(_NULL_EVENT)
+                    continue  # else invalidated by an interrupt: a no-op
+                callbacks = ev.callbacks
+                ev.callbacks = None
+                ev._processed = True
+                for fn in callbacks:
+                    fn(ev)
+                if not ev._ok and not ev._defused:
+                    raise ev._value
+        finally:
+            self._event_count += n
+        return n
+
+    def _has_due(self, until: float) -> bool:
+        """Whether an entry at or before ``until`` is scheduled."""
+        return bool(self._heap) and self._heap[0][0] <= until
 
     def step(self) -> None:
         """Process exactly one event."""
-        best, src = self._select()
-        if best is None:
+        if not self._loop(_NEVER, _LAST, 1):
             raise IndexError("step(): nothing scheduled")
-        entry = _heappop(src) if src is self._heap else src.popleft()
-        self._pending -= 1
-        self._event_count += 1
-        self._now = entry[0]
-        ev = entry[3]
-        if ev is None:
-            proc = entry[4]
-            if proc._dwait == entry[2]:
-                proc._dwait = 0
-                proc._resume(_NULL_EVENT)
-            return
-        callbacks = ev.callbacks
-        ev.callbacks = None
-        ev._processed = True
-        if len(callbacks) == 1:
-            callbacks[0](ev)
-        else:
-            for fn in callbacks:
-                fn(ev)
-        if not ev._ok and not ev._defused:
-            raise ev._value
 
     def run_until_event(self, event: Event,
                         max_events: Optional[int] = None) -> None:
@@ -712,146 +545,14 @@ class Simulator:
         :class:`SimulationError` is raised.
         """
         budget = max_events if max_events is not None else _UNLIMITED
-        heap = self._heap
-        fut = self._fut
-        fut_pop = fut.popleft
-        inorm = self._imm_norm
-        ih = self._imm_high
-        free = self._free
-        getref = _getrefcount
-        n = 0
-        # Inlined lane selection + dispatch (mirrors step()): the per-event
-        # constant factor dominates at paper scale.  _event_count is flushed
-        # once in the finally block so exceptions leave an accurate count.
-        try:
-            while not event._processed:
-                if heap or inorm or ih:
-                    best = heap[0] if heap else _END
-                    src = heap
-                    if fut:
-                        e = fut[0]
-                        if e < best:
-                            best = e
-                            src = fut
-                    if inorm:
-                        e = inorm[0]
-                        if e < best:
-                            best = e
-                            src = inorm
-                    if ih:
-                        e = ih[0]
-                        if e < best:
-                            best = e
-                            src = ih
-                    if best is _END:
-                        raise SimulationError(
-                            "deadlock: event can never trigger (heap empty)")
-                    if n >= budget:
-                        raise SimulationError(
-                            f"event budget {max_events} exhausted "
-                            f"at t={self._now}")
-                    n += 1
-                    entry = _heappop(heap) if src is heap else src.popleft()
-                elif fut:
-                    # Fast path: only the monotone future lane is live —
-                    # the steady state of timeout/delay-dominated phases.
-                    # Pop first and push back on the (rare) non-pop exits.
-                    entry = fut_pop()
-                    if entry[0] == _INF:
-                        fut.appendleft(entry)
-                        raise SimulationError(
-                            "deadlock: event can never trigger (heap empty)")
-                    if n >= budget:
-                        fut.appendleft(entry)
-                        raise SimulationError(
-                            f"event budget {max_events} exhausted "
-                            f"at t={self._now}")
-                    n += 1
-                else:
-                    raise SimulationError(
-                        "deadlock: event can never trigger (heap empty)")
-                self._pending -= 1
-                tnow = entry[0]
-                self._now = tnow
-                ev = entry[3]
-                if ev is None:
-                    # Direct-delay resume, fully inlined: send into the
-                    # generator right here (no _resume frame) and handle
-                    # the overwhelmingly common outcome — another positive
-                    # plain-number delay — in place.  Everything else
-                    # (process end, event yields, usage errors) defers to
-                    # the general resume path with identical semantics.
-                    proc = entry[4]
-                    if proc._dwait != entry[2]:
-                        continue  # invalidated by an interrupt: stale no-op
-                    proc._dwait = 0
-                    try:
-                        result = proc._send(None)
-                    except StopIteration as stop:
-                        proc._finish(stop.value)
-                        continue
-                    except BaseException as exc:
-                        proc.fail(exc, priority=0)
-                        continue
-                    cls = result.__class__
-                    if cls is float or cls is int:
-                        if result > 0:
-                            seq = self._seq = self._seq + 1
-                            t = tnow + result
-                            nentry = (t, 1, seq, None, proc)
-                            if fut:
-                                tail = fut[-1]
-                                if t > tail[0] or \
-                                        (t == tail[0] and tail[1] <= 1):
-                                    fut.append(nentry)
-                                else:
-                                    _heappush(heap, nentry)
-                            else:
-                                fut.append(nentry)
-                        elif result == 0:
-                            seq = self._seq = self._seq + 1
-                            inorm.append((tnow, 1, seq, None, proc))
-                        else:
-                            _throw_usage(proc, SimulationError(
-                                f"process {proc.name!r} yielded negative "
-                                f"delay {result!r}"))
-                            continue
-                        proc._dwait = seq
-                        p = self._pending + 1
-                        self._pending = p
-                        if p > self._max_queue_len:
-                            self._max_queue_len = p
-                    elif isinstance(result, Event):
-                        if result.sim is not self:
-                            _throw_usage(proc, SimulationError(
-                                "event belongs to a different simulator"))
-                        elif result.callbacks is None:
-                            proc._resume(result)  # already processed
-                        else:
-                            result.callbacks.append(proc._resume)
-                            proc._target = result
-                    else:
-                        _throw_usage(proc, SimulationError(
-                            f"process {proc.name!r} yielded non-event "
-                            f"{result!r}"))
-                    continue
-                callbacks = ev.callbacks
-                ev.callbacks = None
-                ev._processed = True
-                if len(callbacks) == 1:
-                    callbacks[0](ev)
-                else:
-                    for fn in callbacks:
-                        fn(ev)
-                if not ev._ok and not ev._defused:
-                    raise ev._value
-                # Recycle plain timeouts nobody else holds: refcount 2 ==
-                # the local `ev` plus getrefcount's own argument.
-                if (ev.__class__ is Timeout and getref(ev) == 2
-                        and len(free) < _FREE_MAX):
-                    free.append(ev)
-        finally:
-            self._event_count += n
+        self._loop(event, _LAST, budget)
+        if event._processed:
+            return
+        if not self._has_due(_LAST):
+            raise SimulationError(
+                "deadlock: event can never trigger (heap empty)")
+        raise SimulationError(
+            f"event budget {max_events} exhausted at t={self._now}")
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -863,142 +564,11 @@ class Simulator:
         :class:`SimulationError` is raised.
         """
         budget = max_events if max_events is not None else _UNLIMITED
-        heap = self._heap
-        fut = self._fut
-        fut_pop = fut.popleft
-        inorm = self._imm_norm
-        ih = self._imm_high
-        free = self._free
-        getref = _getrefcount
-        n = 0
-        try:
-            while True:
-                if heap or inorm or ih:
-                    best = heap[0] if heap else _END
-                    src = heap
-                    if fut:
-                        e = fut[0]
-                        if e < best:
-                            best = e
-                            src = fut
-                    if inorm:
-                        e = inorm[0]
-                        if e < best:
-                            best = e
-                            src = inorm
-                    if ih:
-                        e = ih[0]
-                        if e < best:
-                            best = e
-                            src = ih
-                    if best is _END:
-                        break
-                    if until is not None and best[0] > until:
-                        self._now = until
-                        return
-                    if n >= budget:
-                        raise SimulationError(
-                            f"event budget {max_events} exhausted "
-                            f"at t={self._now}")
-                    n += 1
-                    entry = _heappop(heap) if src is heap else src.popleft()
-                elif fut:
-                    # Fast path: only the monotone future lane is live —
-                    # the steady state of timeout/delay-dominated phases.
-                    # Pop first and push back on the (rare) non-pop exits.
-                    entry = fut_pop()
-                    t = entry[0]
-                    if until is not None:
-                        if t > until:
-                            fut.appendleft(entry)
-                            self._now = until
-                            return
-                    elif t == _INF:
-                        fut.appendleft(entry)
-                        break  # inf-delay entries never fire (as before)
-                    if n >= budget:
-                        fut.appendleft(entry)
-                        raise SimulationError(
-                            f"event budget {max_events} exhausted "
-                            f"at t={self._now}")
-                    n += 1
-                else:
-                    break
-                self._pending -= 1
-                tnow = entry[0]
-                self._now = tnow
-                ev = entry[3]
-                if ev is None:
-                    # Direct-delay resume, fully inlined (see
-                    # run_until_event for the commentary).
-                    proc = entry[4]
-                    if proc._dwait != entry[2]:
-                        continue  # invalidated by an interrupt: stale no-op
-                    proc._dwait = 0
-                    try:
-                        result = proc._send(None)
-                    except StopIteration as stop:
-                        proc._finish(stop.value)
-                        continue
-                    except BaseException as exc:
-                        proc.fail(exc, priority=0)
-                        continue
-                    cls = result.__class__
-                    if cls is float or cls is int:
-                        if result > 0:
-                            seq = self._seq = self._seq + 1
-                            t = tnow + result
-                            nentry = (t, 1, seq, None, proc)
-                            if fut:
-                                tail = fut[-1]
-                                if t > tail[0] or \
-                                        (t == tail[0] and tail[1] <= 1):
-                                    fut.append(nentry)
-                                else:
-                                    _heappush(heap, nentry)
-                            else:
-                                fut.append(nentry)
-                        elif result == 0:
-                            seq = self._seq = self._seq + 1
-                            inorm.append((tnow, 1, seq, None, proc))
-                        else:
-                            _throw_usage(proc, SimulationError(
-                                f"process {proc.name!r} yielded negative "
-                                f"delay {result!r}"))
-                            continue
-                        proc._dwait = seq
-                        p = self._pending + 1
-                        self._pending = p
-                        if p > self._max_queue_len:
-                            self._max_queue_len = p
-                    elif isinstance(result, Event):
-                        if result.sim is not self:
-                            _throw_usage(proc, SimulationError(
-                                "event belongs to a different simulator"))
-                        elif result.callbacks is None:
-                            proc._resume(result)  # already processed
-                        else:
-                            result.callbacks.append(proc._resume)
-                            proc._target = result
-                    else:
-                        _throw_usage(proc, SimulationError(
-                            f"process {proc.name!r} yielded non-event "
-                            f"{result!r}"))
-                    continue
-                callbacks = ev.callbacks
-                ev.callbacks = None
-                ev._processed = True
-                if len(callbacks) == 1:
-                    callbacks[0](ev)
-                else:
-                    for fn in callbacks:
-                        fn(ev)
-                if not ev._ok and not ev._defused:
-                    raise ev._value
-                if (ev.__class__ is Timeout and getref(ev) == 2
-                        and len(free) < _FREE_MAX):
-                    free.append(ev)
-        finally:
-            self._event_count += n
+        last = _LAST if until is None else min(until, _LAST)
+        if self._loop(_NEVER, last, budget) == budget and \
+                self._has_due(last):
+            raise SimulationError(
+                f"event budget {max_events} exhausted at t={self._now}")
         if until is not None:
             self._now = until
+

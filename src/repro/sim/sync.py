@@ -7,7 +7,6 @@ equivalent inside the simulation:
 * :class:`Barrier` — all parties arrive before any proceeds (MPI_Barrier).
 * :class:`Channel` — rendezvous-free typed mailbox between two processes
   (MPI_Send/MPI_Recv with buffering).
-* :class:`CountDownLatch` — one-shot "wait for N completions".
 * :class:`Gate` — a re-armable open/closed condition; used for cache
   back-pressure (writers block while the dirty-page gate is closed).
 """
@@ -19,7 +18,7 @@ from typing import Any, Deque, List
 
 from repro.sim.core import Event, Simulator, SimulationError
 
-__all__ = ["Barrier", "Channel", "CountDownLatch", "Gate"]
+__all__ = ["Barrier", "Channel", "Gate"]
 
 
 class Barrier:
@@ -77,39 +76,6 @@ class Channel:
 
     def __len__(self) -> int:
         return len(self._buffer)
-
-
-class CountDownLatch:
-    """One-shot latch released after ``count`` calls to :meth:`count_down`."""
-
-    def __init__(self, sim: Simulator, count: int):
-        if count < 0:
-            raise SimulationError(f"count must be >= 0, got {count}")
-        self.sim = sim
-        self._remaining = count
-        self._waiters: List[Event] = []
-
-    @property
-    def remaining(self) -> int:
-        return self._remaining
-
-    def count_down(self, n: int = 1) -> None:
-        if self._remaining <= 0:
-            return
-        self._remaining -= n
-        if self._remaining <= 0:
-            self._remaining = 0
-            waiters, self._waiters = self._waiters, []
-            for ev in waiters:
-                ev.succeed()
-
-    def wait(self) -> Event:
-        ev = self.sim.event()
-        if self._remaining == 0:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
 
 
 class Gate:

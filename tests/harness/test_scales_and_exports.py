@@ -33,7 +33,7 @@ def test_top_level_package_metadata():
 
 
 @pytest.mark.parametrize("module,names", [
-    ("repro.sim", ["Simulator", "Resource", "Store", "Barrier"]),
+    ("repro.sim", ["Simulator", "Store", "Barrier"]),
     ("repro.net", ["Fabric", "RpcService", "rpc_call", "one_way"]),
     ("repro.storage", ["StorageDevice", "BlockStore", "WriteCostModel"]),
     ("repro.dlm", ["LockServer", "LockClient", "LockMode", "ExtentMap",

@@ -10,6 +10,7 @@ from repro.sim import (
     Simulator,
     SimulationError,
 )
+from repro.sim.core import LOW
 
 
 def test_clock_starts_at_zero():
@@ -50,6 +51,46 @@ def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.timeout(-1)
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_bad_trigger_delay_rejected_at_the_call(delay):
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="delay"):
+        sim.timeout(delay)
+    ok, bad = sim.event(), sim.event()
+    with pytest.raises(SimulationError, match="delay"):
+        ok.succeed("x", delay=delay)
+    with pytest.raises(SimulationError, match="delay"):
+        bad.fail(ValueError("boom"), delay=delay)
+    # Nothing was scheduled, both events are still pending, and the clock
+    # never moved.
+    assert sim.queue_length == 0
+    assert not ok.triggered and not bad.triggered
+    sim.timeout(1.0)
+    sim.run()
+    assert sim.now == 1.0
+
+
+def test_entry_at_infinity_never_fires():
+    inf = float("inf")
+    sim = Simulator()
+    fired = []
+    sim.timeout(inf, priority=LOW).add_callback(lambda _ev: fired.append(1))
+    sim.timeout(inf).add_callback(lambda _ev: fired.append(2))
+    sim.run()
+    assert fired == [] and sim.now == 0.0
+    with pytest.raises(IndexError):
+        sim.step()
+    assert sim.queue_length == 2
+
+    def sleeper(sim):
+        yield inf  # a direct delay at +inf never fires either
+
+    p = sim.spawn(sleeper(sim))
+    with pytest.raises(SimulationError, match="deadlock"):
+        sim.run_until_event(p)
+    assert fired == [] and sim.now == 0.0
 
 
 def test_processes_interleave_deterministically():

@@ -1,16 +1,20 @@
-"""Cross-lane pop ordering: the four-lane kernel must behave as ONE queue.
+"""Schedule pop ordering: entries pop in exact ``(time, priority, seq)`` order.
 
-The scheduler keeps four lanes (``_imm_high``/``_imm_norm`` zero-delay
-deques, the monotone ``_fut`` deque, and the ``_heap`` fallback), but the
-contract — and what every golden digest leans on — is that pops always
-take the globally minimal ``(time, priority, seq)`` key *across* lanes.  These tests pin that down at its
-sharpest edge: several entries at exactly the same timestamp, spread
-over different lanes, created in adversarial orders.
+The schedule is one heap, but entries reach it from many places: zero-delay
+triggers, timeouts at every priority, direct-delay yields, interrupts and
+lazily armed deadlines pushed under an earlier reserved key.  The contract
+-- and what every golden digest leans on -- is that pops always take the
+minimal ``(time, priority, seq)`` key, whichever path pushed it.  These
+tests pin that down at its sharpest edge: several entries at exactly the
+same timestamp, created in adversarial orders.
 """
+
+import itertools
+import random
 
 import pytest
 
-from repro.sim.core import HIGH, LOW, NORMAL, Simulator
+from repro.sim.core import HIGH, LOW, NORMAL, Event, Interrupt, Simulator
 
 
 def _tag(trace, label):
@@ -158,3 +162,103 @@ def test_reserved_key_entry_pops_where_its_reservation_was_taken():
     assert trace == ["t@0.5", "first@1", "reserved@1", "last@1",
                      "reserved@3"]
     assert sim.queue_length == 0 and sim.max_queue_length == 5
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_randomised_mix_pops_in_time_priority_push_order(seed):
+    # Every tracked push records the key it must pop under: (time,
+    # priority, push order), push order counted when the kernel takes the
+    # entry's seq.  Callbacks and processes push more at the same
+    # instants, so ties on (time, priority) abound.  Each tracked entry
+    # must pop as the smallest tracked key still pending, exactly once;
+    # an entry made stale by an interrupt must never pop.
+    rng = random.Random(seed)
+    sim = Simulator()
+    order = itertools.count()
+    pending, processed = set(), []
+    budget = [400]
+    delays = (0, 0.0, 0.5, 1.0, 1.5)
+    priorities = (HIGH, NORMAL, LOW)
+    sleepers, procs = {}, {}
+
+    def key(delay, priority):
+        k = (sim.now + delay, priority, next(order))
+        pending.add(k)
+        return k
+
+    def done(k):
+        assert k == min(pending)
+        pending.remove(k)
+        processed.append(k)
+        react()
+
+    def fire(k):
+        return lambda _ev: done(k)
+
+    def timeout():
+        delay, priority = rng.choice(delays), rng.choice(priorities)
+        k = key(delay, priority)
+        sim.timeout(delay, priority=priority).add_callback(fire(k))
+
+    def zero_delay_succeed():
+        priority = rng.choice(priorities)
+        ev = sim.event()
+        ev.callbacks.append(fire(key(0.0, priority)))
+        ev.succeed(priority=priority)
+
+    def reserved_deadline():
+        # Reserve now, push from a same-instant HIGH event after other
+        # pushes have taken later seqs: the deadline keeps its early key.
+        seq = sim._reserve_seq()
+        k = key(rng.choice((0.5, 1.0, 1.5)), NORMAL)
+        deadline = Event(sim)
+        deadline.callbacks.append(fire(k))
+        for _ in range(rng.randrange(3)):
+            timeout()
+        arm = sim.event()
+        arm.callbacks.append(
+            lambda _ev: sim._push_reserved(deadline, k[0], seq))
+        arm.succeed(priority=HIGH)
+
+    def interrupt():
+        if sleepers:
+            name = rng.choice(list(sleepers))
+            pending.remove(sleepers.pop(name))  # its entry goes stale
+            procs[name].interrupt(key(0.0, HIGH))
+
+    actions = (timeout, zero_delay_succeed, reserved_deadline, interrupt)
+
+    def react():
+        for _ in range(rng.randrange(3)):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            rng.choice(actions)()
+
+    def sleeper(me, rounds):
+        for _ in range(rounds):
+            delay = rng.choice(delays)
+            if rng.random() < 0.5:
+                k = key(delay, NORMAL)
+                wait = delay  # a direct delay
+            else:
+                priority = rng.choice(priorities)
+                k = key(delay, priority)
+                wait = sim.timeout(delay, priority=priority)
+            sleepers[me] = k
+            try:
+                yield wait
+            except Interrupt as irq:
+                k = irq.cause
+            else:
+                del sleepers[me]
+            done(k)
+
+    for i in range(6):
+        me = f"s{i}"
+        procs[me] = sim.spawn(sleeper(me, 30), name=me)
+    for _ in range(10):
+        timeout()
+    sim.run()
+    assert not pending and budget[0] <= 0
+    assert len(processed) > 400

@@ -1,99 +1,6 @@
-"""Unit tests for Resource / Store / PriorityStore."""
+"""Unit tests for Store."""
 
-import pytest
-
-from repro.sim import PriorityStore, Resource, Simulator, SimulationError, Store
-
-
-# ---------------------------------------------------------------- Resource
-def test_resource_capacity_one_serializes():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    trace = []
-
-    def worker(sim, name):
-        yield res.acquire()
-        trace.append(("in", name, sim.now))
-        yield sim.timeout(2)
-        trace.append(("out", name, sim.now))
-        res.release()
-
-    sim.spawn(worker(sim, "a"))
-    sim.spawn(worker(sim, "b"))
-    sim.run()
-    assert trace == [("in", "a", 0.0), ("out", "a", 2.0),
-                     ("in", "b", 2.0), ("out", "b", 4.0)]
-
-
-def test_resource_capacity_two_overlaps():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    done = []
-
-    def worker(sim, name):
-        yield res.acquire()
-        yield sim.timeout(2)
-        res.release()
-        done.append((name, sim.now))
-
-    for name in "abc":
-        sim.spawn(worker(sim, name))
-    sim.run()
-    assert done == [("a", 2.0), ("b", 2.0), ("c", 4.0)]
-
-
-def test_resource_counts():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder(sim):
-        yield res.acquire()
-        yield sim.timeout(10)
-        res.release()
-
-    def waiter(sim):
-        yield res.acquire()
-        res.release()
-
-    sim.spawn(holder(sim))
-    sim.spawn(waiter(sim))
-    sim.run(until=5)
-    assert res.in_use == 1
-    assert res.queued == 1
-    sim.run()
-    assert res.in_use == 0
-    assert res.queued == 0
-
-
-def test_resource_release_without_acquire():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_bad_capacity():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_fifo_fairness():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def worker(sim, name, start):
-        yield sim.timeout(start)
-        yield res.acquire()
-        order.append(name)
-        yield sim.timeout(5)
-        res.release()
-
-    for i, name in enumerate("abcd"):
-        sim.spawn(worker(sim, name, i * 0.1))
-    sim.run()
-    assert order == ["a", "b", "c", "d"]
+from repro.sim import Simulator, Store
 
 
 # ---------------------------------------------------------------- Store
@@ -164,58 +71,3 @@ def test_store_len_and_peek():
     assert len(store) == 2
     assert store.peek_all() == [10, 20]
 
-
-# ---------------------------------------------------------------- PriorityStore
-def test_priority_store_orders_items():
-    sim = Simulator()
-    ps = PriorityStore(sim)
-    got = []
-
-    ps.put((2, 0, "low"))
-    ps.put((0, 1, "high"))
-    ps.put((1, 2, "mid"))
-
-    def consumer(sim):
-        for _ in range(3):
-            item = yield ps.get()
-            got.append(item[2])
-
-    sim.spawn(consumer(sim))
-    sim.run()
-    assert got == ["high", "mid", "low"]
-
-
-def test_priority_store_blocking_get():
-    sim = Simulator()
-    ps = PriorityStore(sim)
-    got = []
-
-    def consumer(sim):
-        item = yield ps.get()
-        got.append((sim.now, item))
-
-    def producer(sim):
-        yield sim.timeout(3)
-        ps.put((1, 0, "x"))
-
-    sim.spawn(consumer(sim))
-    sim.spawn(producer(sim))
-    sim.run()
-    assert got == [(3.0, (1, 0, "x"))]
-
-
-def test_priority_store_equal_priority_fifo():
-    sim = Simulator()
-    ps = PriorityStore(sim)
-    got = []
-    for i, name in enumerate("abc"):
-        ps.put((5, i, name))
-
-    def consumer(sim):
-        for _ in range(3):
-            item = yield ps.get()
-            got.append(item[2])
-
-    sim.spawn(consumer(sim))
-    sim.run()
-    assert got == ["a", "b", "c"]

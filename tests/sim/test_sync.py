@@ -1,8 +1,8 @@
-"""Unit tests for barriers, channels, latches and gates."""
+"""Unit tests for barriers, channels and gates."""
 
 import pytest
 
-from repro.sim import Barrier, Channel, CountDownLatch, Gate, Simulator
+from repro.sim import Barrier, Channel, Gate, Simulator
 from repro.sim.core import SimulationError
 
 
@@ -104,49 +104,6 @@ def test_channel_round_robin_ping_pong():
     channels[0].send("token")  # kick off
     sim.run()
     assert order == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
-
-
-# ---------------------------------------------------------------- Latch
-def test_latch_waits_for_count():
-    sim = Simulator()
-    latch = CountDownLatch(sim, 3)
-    done = []
-
-    def waiter(sim):
-        yield latch.wait()
-        done.append(sim.now)
-
-    def worker(sim, delay):
-        yield sim.timeout(delay)
-        latch.count_down()
-
-    sim.spawn(waiter(sim))
-    for d in (1, 2, 6):
-        sim.spawn(worker(sim, d))
-    sim.run()
-    assert done == [6.0]
-
-
-def test_latch_zero_count_immediate():
-    sim = Simulator()
-    latch = CountDownLatch(sim, 0)
-    done = []
-
-    def waiter(sim):
-        yield latch.wait()
-        done.append(sim.now)
-
-    sim.spawn(waiter(sim))
-    sim.run()
-    assert done == [0.0]
-
-
-def test_latch_excess_countdown_is_noop():
-    sim = Simulator()
-    latch = CountDownLatch(sim, 1)
-    latch.count_down()
-    latch.count_down()
-    assert latch.remaining == 0
 
 
 # ---------------------------------------------------------------- Gate

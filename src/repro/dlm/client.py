@@ -543,7 +543,7 @@ class LockClient:
                 # Flush (a no-op here: no dirty data) before downgrading
                 # so PR waiters observe durable bytes.
                 tf = self.sim.now
-                yield self.sim.spawn(self.flush_fn(lock))
+                yield from self.flush_fn(lock)
                 self.stats.flush_time += self.sim.now - tf
                 flushed = True
             self._notify(server, DowngradeMsg(lock.lock_id,
@@ -554,7 +554,7 @@ class LockClient:
 
         if not flushed:
             tf = self.sim.now
-            yield self.sim.spawn(self.flush_fn(lock))
+            yield from self.flush_fn(lock)
             self.stats.flush_time += self.sim.now - tf
 
         self._notify(server, ReleaseMsg(lock.lock_id, lock.resource_id,

@@ -387,7 +387,7 @@ class MutexCoordinator:
         t0 = self.sim.now
         self.stats.cancels += 1
         tf = self.sim.now
-        yield self.sim.spawn(self.flush_fn(lock))
+        yield from self.flush_fn(lock)
         self.stats.flush_time += self.sim.now - tf
         if self.ledger is not None:
             self.ledger.note_exit(lock.resource_id, self.node.name)

@@ -135,7 +135,9 @@ class Node:
         if msg.is_reply:
             future = self.pending_replies.pop(msg.req_id, None)
             if future is not None:
-                future.succeed(msg.payload)
+                # The tail of Fabric._on_arrival, the only callback of a
+                # delivery event: the future may complete right here.
+                future._succeed_in_place(msg.payload)
             return
         handler = self._handlers.get(msg.service)
         if handler is None:

@@ -9,15 +9,20 @@ Mirrors the shape of the paper's CaRT stack:
   fabric's NICs are, not a process: each message costs one kernel event,
   at the instant its charge ends (the current instant for a zero-cost
   message), and that event runs the handler;
-* handlers run synchronously in that event; a handler that returns a
-  generator gets one simulation process of its own (the generator runs
-  inside it via ``yield from``), so a slow handler never blocks the
-  dispatcher, and a lock server can keep a request queued for an
-  arbitrary time (normal grant waiting on a conflicting lock) without
-  blocking unrelated requests;
+* handlers run to completion in that event and return None (anything
+  else raises :class:`RpcError`).  A handler never waits: work that ends
+  later replies from a callback on the event that ends it (a data
+  server's device access), or from wherever the request was parked (a
+  lock server keeps a request queued for as long as a conflicting lock
+  holds it), so a slow request never blocks the dispatcher;
 * responses are explicit (:meth:`Request.respond`), supporting both the
-  immediate-reply style (data-server IO) and the deferred-grant style
-  (lock servers).
+  immediate-reply style (data-server IO, at device completion) and the
+  deferred-grant style (lock servers);
+* a reply's future completes inside the fabric event that delivers the
+  reply when nothing else is due at that instant
+  (:meth:`~repro.sim.core.Event._succeed_in_place`), so the caller
+  resumes without an event of its own, in the order it would have with
+  one.
 
 :func:`rpc_call_retry` waits on the reply future itself.  Its timeouts
 are deadlines in one min-heap per node behind a single lazily re-armed
@@ -32,7 +37,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Optional, Tuple, Union
+from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.config import DictConfigMixin
 from repro.net.fabric import Fabric, Message, Node
@@ -197,9 +202,10 @@ class Request:
         fabric.send(reply)
 
 
-#: A handler either returns nothing / a generator; generators may return a
-#: ``(payload, nbytes)`` tuple as an implicit respond.
-Handler = Callable[[Request], Union[None, Generator]]
+#: A handler runs to completion in its dispatch event and returns None; a
+#: reply that needs simulated time is sent from a callback on the event
+#: that ends the wait (``sim.timeout(d).callbacks.append(...)``).
+Handler = Callable[[Request], None]
 
 
 #: Dedup-cache sentinel: the request is dispatched but not yet responded.
@@ -418,23 +424,15 @@ class RpcService:
         if not self._dedup_check(msg):
             self.requests_handled += 1
             req = Request(self, msg)
-            result = self.handler(req)
-            if result is not None:
-                self.sim.spawn(self._run_handler(req, result),
-                               name=f"{self.name}-handler")
+            if self.handler(req) is not None:
+                raise RpcError(
+                    f"handler of service {self.name!r} returned a value; "
+                    "handlers run to completion in the dispatch event "
+                    "and reply through Request.respond")
         if self._queue:
             self._start(*self._queue.popleft())
         else:
             self._busy = False
-
-    def _run_handler(self, req: Request, gen: Generator) -> Generator:
-        # The handler runs inside this one process: an exception it raises
-        # fails the process and surfaces from the run loop, as it would
-        # from a separately spawned one.
-        ret = yield from gen
-        if ret is not None and not req.responded:
-            payload, nbytes = ret
-            req.respond(payload, nbytes)
 
     @property
     def queue_depth(self) -> int:

@@ -171,7 +171,9 @@ class CcpfsClient:
         if nbytes == 0:
             return 0
         t0 = self.sim.now
-        yield self.cache.gate.wait()  # §IV-C1 max-dirty back-pressure
+        gate = self.cache.gate
+        if not gate.is_open:
+            yield gate.wait()  # §IV-C1 max-dirty back-pressure
         # Stage the data into registered cache pages *before* locking —
         # only the extent insertion happens under the lock, so conflicting
         # writers' copies overlap (the memory-pool design of §IV).
@@ -287,7 +289,9 @@ class CcpfsClient:
         if not norm:
             return 0
         t0 = self.sim.now
-        yield self.cache.gate.wait()
+        gate = self.cache.gate
+        if not gate.is_open:
+            yield gate.wait()
         yield from self._charge_copy(total)
 
         # Per-stripe extent shape.

@@ -10,6 +10,13 @@ Write routine (Fig. 15): for every incoming block, ① merge its SN into
 the extent cache, ② record the changed parts in the update set, ③ write
 only the update set to the device (stale parts are discarded), ④ append
 the update set to the extent log, then ack the client.
+
+The IO handlers run without a process of their own: ``_write``,
+``_read`` and ``_truncate`` do their work in the RPC dispatch event,
+submit one device access, and reply from a callback on the device's
+completion event.  A read takes its bytes from the store at completion,
+so a write dispatched while the read's device access runs is in the
+reply.  An exception raised at either point surfaces from the run loop.
 """
 
 from __future__ import annotations
@@ -149,7 +156,7 @@ class DataServer:
         self.msn_rng = None
 
     # -------------------------------------------------------------- dispatch
-    def _handle(self, req: Request):
+    def _handle(self, req: Request) -> None:
         msg = req.payload
         if isinstance(msg, IoWriteMsg):
             if self.fence_fn is not None and msg.client_name:
@@ -161,19 +168,19 @@ class DataServer:
                     self.stats.fenced_writes += 1
                     req.respond(FencedMsg(msg.client_name, msg.incarnation,
                                           floor), nbytes=CTRL_MSG_BYTES)
-                    return None
-            return self._write(req, msg)
-        if isinstance(msg, IoReadMsg):
-            return self._read(req, msg)
-        if isinstance(msg, IoTruncateMsg):
-            return self._truncate(req, msg)
-        if isinstance(msg, IoSizeMsg):
+                    return
+            self._write(req, msg)
+        elif isinstance(msg, IoReadMsg):
+            self._read(req, msg)
+        elif isinstance(msg, IoTruncateMsg):
+            self._truncate(req, msg)
+        elif isinstance(msg, IoSizeMsg):
             req.respond(self.store.size(msg.stripe_key))
-            return None
-        raise TypeError(f"unexpected IO payload {msg!r}")  # pragma: no cover
+        else:  # pragma: no cover
+            raise TypeError(f"unexpected IO payload {msg!r}")
 
     # ----------------------------------------------------------------- write
-    def _write(self, req: Request, msg: IoWriteMsg) -> Generator:
+    def _write(self, req: Request, msg: IoWriteMsg) -> None:
         self.stats.write_rpcs += 1
         device_bytes = 0
         log_bytes = 0
@@ -211,24 +218,35 @@ class DataServer:
             if self.extent_log is not None:
                 log_bytes += self.extent_log.append(msg.stripe_key, updates,
                                                     block.sn)
-        yield self.device.write(device_bytes + log_bytes)
-        req.respond("ack", nbytes=CTRL_MSG_BYTES)
+
+        def done(_ev) -> None:
+            req.respond("ack", nbytes=CTRL_MSG_BYTES)
+
+        self.device.write(device_bytes + log_bytes).callbacks.append(done)
 
     # ------------------------------------------------------------------ read
-    def _read(self, req: Request, msg: IoReadMsg) -> Generator:
+    def _read(self, req: Request, msg: IoReadMsg) -> None:
         self.stats.read_rpcs += 1
-        yield self.device.read(msg.length)
-        data = None
-        if self.track_content:
-            data = self.store.read(msg.stripe_key, msg.offset, msg.length)
-        req.respond(data, nbytes=msg.length + CTRL_MSG_BYTES)
 
-    def _truncate(self, req: Request, msg: IoTruncateMsg) -> Generator:
-        yield self.device.write(0)
-        self.store.object(msg.stripe_key).truncate(msg.size)
-        emap = self.extent_cache.map_for(msg.stripe_key)
-        emap.drop_where(lambda s, e, sn: s >= msg.size)
-        req.respond("ack")
+        def done(_ev) -> None:
+            # The store is read at completion, not at dispatch: a write
+            # applied while the device works is in the reply.
+            data = None
+            if self.track_content:
+                data = self.store.read(msg.stripe_key, msg.offset,
+                                       msg.length)
+            req.respond(data, nbytes=msg.length + CTRL_MSG_BYTES)
+
+        self.device.read(msg.length).callbacks.append(done)
+
+    def _truncate(self, req: Request, msg: IoTruncateMsg) -> None:
+        def done(_ev) -> None:
+            self.store.object(msg.stripe_key).truncate(msg.size)
+            emap = self.extent_cache.map_for(msg.stripe_key)
+            emap.drop_where(lambda s, e, sn: s >= msg.size)
+            req.respond("ack")
+
+        self.device.write(0).callbacks.append(done)
 
     # -------------------------------------------------- extent-cache hooks
     def _query_msn(self, stripe_key: Hashable, extents) -> Generator:

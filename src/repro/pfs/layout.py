@@ -65,6 +65,18 @@ class StripeLayout:
         covering extent per stripe."""
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be >= 0")
+        size = self.stripe_size
+        chunk, within = divmod(offset, size)
+        if 0 < length <= size - within:
+            # Inside one chunk (every small IO): one fragment, no loop.
+            count = self.stripe_count
+            return [Fragment(chunk % count, (chunk // count) * size + within,
+                             offset, length)]
+        return self._map_chunks(offset, length)
+
+    def _map_chunks(self, offset: int, length: int) -> List[Fragment]:
+        """The general case of :meth:`map_extent`: walk the extent one
+        chunk at a time, then merge."""
         raw: List[Fragment] = []
         pos = offset
         remaining = length

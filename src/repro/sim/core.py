@@ -34,6 +34,15 @@ entry names the process and the loop resumes it directly.  An interrupt
 invalidates the pending entry, which then pops as a no-op.  A negative or
 NaN direct delay is thrown into the process as a :class:`SimulationError`.
 
+An event triggered in tail position of the only callback of the event
+being processed may skip the schedule: when nothing is due at ``(now,
+priority <= NORMAL)``, the entry ``succeed()`` would push is the very next
+one the loop would pop, so :meth:`Event._succeed_in_place` runs its
+callbacks at once instead.  The fabric completes RPC reply futures this
+way.  Such a completion is not an entry, so it is not counted in
+:attr:`Simulator.events_processed`, and a :meth:`Simulator.step` that
+processes the delivery also runs the completion.
+
 ``sim.metrics`` is consulted only at snapshot time by the metrics layer —
 the dispatch loop itself carries zero metrics branches when it is None.
 """
@@ -155,6 +164,36 @@ class Event:
         self._ok = False
         self._value = exc
         return self
+
+    def _succeed_in_place(self, value: Any = None) -> None:
+        """Trigger the event with ``value`` and, when the entry
+        :meth:`succeed` would push is the next one the loop would pop,
+        process it here instead: its callbacks run at once and no entry
+        is pushed or counted.
+
+        That holds when nothing is due at ``(now, priority <= NORMAL)``:
+        every such entry sorts before a fresh ``(now, NORMAL, seq)`` key,
+        and nothing else does.  Otherwise this is ``succeed(value)``.
+
+        Precondition: call it only in tail position of the only callback
+        of the event being processed, so that nothing else runs between
+        here and the loop's next pop."""
+        if self._value is not _PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        sim = self.sim
+        heap = sim._heap
+        if heap:
+            head = heap[0]
+            if head[0] <= sim._now and head[1] <= NORMAL:
+                self.succeed(value)
+                return
+        self._ok = True
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = None
+        self._processed = True
+        for fn in callbacks:
+            fn(self)
 
     def defuse(self) -> None:
         """Mark a failed event as handled out-of-band."""
@@ -530,7 +569,8 @@ class Simulator:
         return bool(self._heap) and self._heap[0][0] <= until
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one schedule entry (with any completion done
+        in place inside it)."""
         if not self._loop(_NEVER, _LAST, 1):
             raise IndexError("step(): nothing scheduled")
 

@@ -225,11 +225,9 @@ def test_dedup_in_progress_request_dropped():
     executions = []
 
     def handler(req):
-        def work():
-            executions.append(req.payload)
-            yield sim.timeout(1.0)  # long-running (queued lock grant)
-            req.respond("granted")
-        return work()
+        executions.append(req.payload)
+        # Long-running (a queued lock grant): answered a second later.
+        sim.timeout(1.0).callbacks.append(lambda _ev: req.respond("granted"))
 
     svc = RpcService(server, "dlm", handler, dedup=True)
     got = []
@@ -351,11 +349,9 @@ def test_dedup_ttl_never_expires_in_progress_entries():
     executions = []
 
     def handler(req):
-        def work():
-            executions.append(req.payload)
-            yield sim.timeout(5.0)  # parked far beyond the 1s TTL
-            req.respond("granted")
-        return work()
+        executions.append(req.payload)
+        # Parked far beyond the 1 s TTL.
+        sim.timeout(5.0).callbacks.append(lambda _ev: req.respond("granted"))
 
     svc = RpcService(server, "dlm", handler, dedup=True, dedup_ttl=1.0)
     got = []

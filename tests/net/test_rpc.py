@@ -1,5 +1,7 @@
 """Unit tests for the RPC layer."""
 
+import random
+
 import pytest
 
 from repro.net import Fabric, NetworkConfig, RpcError, RpcService, one_way, rpc_call
@@ -32,14 +34,12 @@ def test_immediate_sync_reply():
     assert got == [42]
 
 
-def test_generator_handler_with_implicit_respond():
+def test_handler_replies_from_a_timeout_callback():
     sim, fab, client, server = setup_pair()
 
     def handler(req):
-        def work():
-            yield req.sim.timeout(1.0)
-            return (req.payload + 1, 128)
-        return work()
+        req.sim.timeout(1.0).callbacks.append(
+            lambda _ev: req.respond(req.payload + 1, 128))
 
     RpcService(server, "inc", handler)
     got = []
@@ -120,10 +120,8 @@ def test_concurrent_slow_handlers_do_not_block_dispatch():
     done = []
 
     def handler(req):
-        def work():
-            yield req.sim.timeout(10.0)
-            req.respond(req.payload)
-        return work()
+        req.sim.timeout(10.0).callbacks.append(
+            lambda _ev: req.respond(req.payload))
 
     RpcService(server, "slow", handler, ops=1000.0)
 
@@ -216,18 +214,16 @@ def test_requests_handled_counter():
     assert svc.requests_handled == 4
 
 
-# ---------------------------------------------- generator-handler semantics
-# A generator handler runs inside the one process the dispatcher spawns
-# for it (``yield from``); these pin what callers can observe of that.
+# ------------------------------------------------ handler semantics
+# A handler runs to completion in its dispatch event; work that takes
+# simulated time replies from a callback on the event that ends it.
 
-def test_generator_return_responds_exactly_once():
+def test_callback_reply_responds_exactly_once():
     sim, fab, client, server = setup_pair()
 
     def handler(req):
-        def work():
-            yield 1e-3
-            return ("done", 4096)
-        return work()
+        sim.timeout(1e-3).callbacks.append(
+            lambda _ev: req.respond("done", 4096))
 
     svc = RpcService(server, "svc", handler)
     got = []
@@ -244,47 +240,47 @@ def test_generator_return_responds_exactly_once():
     assert svc.requests_handled == 1
 
 
-@pytest.mark.parametrize("returns", [None, ("late", 128)])
-def test_explicit_respond_is_not_followed_by_a_second_reply(returns):
-    sim, fab, client, server = setup_pair()
-
-    def handler(req):
-        def work():
-            yield 1e-3
-            req.respond("early")
-            yield 1e-3
-            return returns
-        return work()
-
-    RpcService(server, "svc", handler)
-    got = []
-
-    def caller(sim):
-        got.append((yield rpc_call(client, server, "svc", None)))
-
-    sim.spawn(caller(sim))
-    sim.run()
-    assert got == ["early"]
-    assert server.messages_sent == 1
-    assert fab.messages_delivered == 2  # the request and one reply
-
-
-def test_exception_in_generator_handler_surfaces_from_run():
+def test_exception_in_handler_callback_surfaces_from_run():
     sim, fab, client, server = setup_pair()
 
     class HandlerBug(Exception):
         pass
 
     def handler(req):
-        def work():
-            yield 1e-3
+        def fail(_ev):
             raise HandlerBug(req.payload)
-        return work()
+        sim.timeout(1e-3).callbacks.append(fail)
 
     RpcService(server, "svc", handler)
     rpc_call(client, server, "svc", "boom")
     with pytest.raises(HandlerBug, match="boom"):
         sim.run()
+
+
+def _never_run():
+    raise AssertionError("a returned generator must not be run")
+    yield  # pragma: no cover - makes this a generator function
+
+
+@pytest.mark.parametrize("returned", [
+    lambda: ("late", 128), lambda: 0, lambda: False, _never_run,
+], ids=["tuple", "zero", "false", "generator"])
+def test_handler_returning_a_value_raises(returned):
+    # Handlers reply through Request.respond; nothing runs or sends what
+    # one returns, so a return value is a wiring bug, a generator (the
+    # old style of a handler that waits) included.
+    sim, fab, client, server = setup_pair()
+    handled = []
+
+    def handler(req):
+        handled.append(req.payload)
+        return returned()
+
+    RpcService(server, "svc", handler)
+    rpc_call(client, server, "svc", "x")
+    with pytest.raises(RpcError, match="returned a value"):
+        sim.run()
+    assert handled == ["x"]
 
 
 def test_injected_duplicate_delivers_the_same_message_twice():
@@ -524,3 +520,127 @@ def test_zero_cost_message_is_handled_in_its_own_event(ops, cost_fn):
     assert handled == [arrival[0]]
     assert dispatch[0] == arrival[0]
     assert sim._heap == []
+
+
+# ---------------------------------------------- reply completion in place
+# A reply's future completes inside the fabric event that delivers the
+# reply when nothing else is due at that instant: the caller resumes
+# without an event of its own, in the order it would have had with one.
+
+def test_reply_with_nothing_else_due_resumes_the_caller_in_its_arrival():
+    sim, fab, client, server = setup_pair()
+    RpcService(server, "echo", lambda req: req.respond(req.payload))
+    got = []
+
+    def caller(sim):
+        got.append((yield rpc_call(client, server, "echo", 7)))
+
+    sim.spawn(caller(sim))
+    sim.step()  # the caller starts and sends the request
+    sim.step()  # request delivery
+    sim.step()  # dispatch: the handler responds
+    assert got == [] and len(sim._heap) == 1
+    sim.step()  # reply delivery: the caller resumes inside it
+    assert got == [7]
+    assert sim._heap == []
+    assert sim.events_processed == 4
+
+
+def _colliding_rpc_trace(seed):
+    """A seeded multi-client RPC run whose instants all sit on a binary
+    grid, so reply deliveries keep landing at the same instant as other
+    deliveries, dispatches, timers and direct delays.  Returns the trace
+    of every callback and resume, and the events processed.
+
+    Every random draw is taken before the run, so the plan does not
+    depend on the order the run takes."""
+    from repro.sim.core import HIGH
+
+    rng = random.Random(seed)
+    q = 2.0 ** -11
+    sim = Simulator()
+    fab = Fabric(sim, NetworkConfig(latency=2 * q, per_message_overhead=0.0,
+                                    bandwidth=float("inf")))
+    clients = [fab.add_node(f"c{i}") for i in range(3)]
+    servers = [fab.add_node(f"s{i}") for i in range(2)]
+    trace = []
+
+    def handler(req):
+        name, delay = req.payload
+        trace.append((sim.now, "handle", name))
+        if delay is None:
+            req.respond(name)
+        else:
+            def late(_ev):
+                trace.append((sim.now, "late", name))
+                req.respond(name)
+            sim.timeout(delay).callbacks.append(late)
+
+    for server in servers:
+        RpcService(server, "svc", handler,
+                   ops=rng.choice([float("inf"), 1.0 / q]))
+
+    def caller(ci, plan):
+        for j, (pause, fanout) in enumerate(plan):
+            yield pause
+            futures = [rpc_call(clients[ci], server, "svc",
+                                (f"c{ci}.{j}.{k}", delay))
+                       for k, (server, delay) in enumerate(fanout)]
+            if len(futures) == 1:
+                value = yield futures[0]
+            else:
+                value = sorted((yield sim.all_of(futures)).values())
+            trace.append((sim.now, "resume", f"c{ci}.{j}", value))
+
+    for ci in range(len(clients)):
+        plan = [(rng.randrange(3) * q,
+                 [(rng.choice(servers), rng.choice([None, None, q, 2 * q]))
+                  for _ in range(rng.choice([1, 1, 2]))])
+                for _ in range(12)]
+        sim.spawn(caller(ci, plan))
+
+    def ticker(name, priority, pauses):
+        for pause in pauses:
+            yield sim.timeout(pause, priority=priority)
+            trace.append((sim.now, name))
+
+    sim.spawn(ticker("tick-normal", 1,
+                     [rng.randint(1, 4) * q for _ in range(40)]))
+    sim.spawn(ticker("tick-high", HIGH,
+                     [rng.randint(1, 6) * q for _ in range(20)]))
+
+    def sleeper(pauses):
+        for pause in pauses:
+            yield pause
+            trace.append((sim.now, "sleep"))
+
+    sim.spawn(sleeper([rng.randint(1, 5) * q for _ in range(30)]))
+    sim.run()
+    return trace, sim.events_processed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_in_place_completion_keeps_the_order_of_an_event_per_reply(seed):
+    from unittest.mock import patch
+
+    from repro.sim.core import Event
+
+    in_place = Event._succeed_in_place
+    outcomes = []
+
+    def counted(self, value=None):
+        in_place(self, value)
+        outcomes.append(self.processed)
+
+    with patch.object(Event, "_succeed_in_place", counted):
+        fast, fast_events = _colliding_rpc_trace(seed)
+    with patch.object(Event, "_succeed_in_place",
+                      lambda self, value=None: self.succeed(value)):
+        slow, slow_events = _colliding_rpc_trace(seed)
+    assert fast == slow
+    assert sum(1 for entry in fast if entry[1] == "resume") == 36
+    # Both branches ran: some replies completed in place, and some
+    # waited behind an entry due at their instant.
+    completed = outcomes.count(True)
+    assert completed and outcomes.count(False)
+    assert fast_events == slow_events - completed

@@ -131,3 +131,103 @@ def test_crash_clears_volatile_state_only():
     assert rig.ds.store.read(KEY, 0, 4) == b"keep"  # durable: kept
     rig.ds.recover()
     assert rig.ecache.map_for(KEY).entries() == [(0, 4, 5)]
+
+
+# --------------------------------------------- handlers without a process
+# An IO handler does its work in the dispatch event and replies from a
+# callback on the device's completion event.
+
+def _record_replies(rig):
+    """Every reply the data server sends, as ``(send instant, payload)``."""
+    sent = []
+    send = rig.fabric.send
+
+    def recording(msg):
+        if msg.src is rig.server_node and msg.is_reply:
+            sent.append((rig.sim.now, msg.payload))
+        return send(msg)
+
+    rig.fabric.send = recording
+    return sent
+
+
+@pytest.mark.parametrize("msg, nbytes, reply", [
+    (IoWriteMsg(KEY, [WireBlock(0, 5000, 1, b"w" * 5000)]), 5000, "ack"),
+    (IoReadMsg(KEY, 0, 5000), 5000, bytes(5000)),
+    (IoTruncateMsg(KEY, 3), 0, "ack"),
+], ids=["write", "read", "truncate"])
+def test_io_rpc_gets_one_reply_at_the_device_completion_instant(
+        msg, nbytes, reply):
+    rig = Rig(latency=1e-4)
+    sent = _record_replies(rig)
+    dispatched = []
+    handle = rig.ds.service.handler
+    rig.ds.service.handler = lambda req: (dispatched.append(rig.sim.now),
+                                          handle(req))[1]
+    assert rig.call(msg) == reply
+    completion = dispatched[0] + (1e-4 + nbytes / 1e9)
+    assert sent == [(completion, reply)]
+    assert rig.device._free_at == completion
+    assert rig.client.messages_received == 1
+
+
+def test_read_returns_the_store_as_of_device_completion():
+    # A write dispatched while the read's device access is in progress
+    # lands in the store at its own dispatch, before the read completes:
+    # the read reply carries it.
+    rig = Rig(latency=1e-3)
+    rig.call(IoWriteMsg(KEY, [WireBlock(0, 4, 1, b"old!")]))
+    out = {}
+
+    def reader():
+        out["read"] = yield rpc_call(rig.client, rig.server_node, "io",
+                                     IoReadMsg(KEY, 0, 4))
+
+    def writer():
+        yield 1e-4
+        out["write"] = yield rpc_call(
+            rig.client, rig.server_node, "io",
+            IoWriteMsg(KEY, [WireBlock(0, 4, 2, b"new!")]))
+
+    rig.sim.spawn(reader())
+    rig.sim.spawn(writer())
+    rig.sim.run()
+    assert rig.ds.track_content
+    assert out == {"read": b"new!", "write": "ack"}
+
+
+def test_fenced_write_is_rejected_without_device_io():
+    from repro.dlm.messages import FencedMsg
+
+    rig = Rig()
+    rig.ds.fence_fn = lambda name, incarnation: 4
+    reply = rig.call(IoWriteMsg(KEY, [WireBlock(0, 4, 1, b"zomb")],
+                                client_name="c", incarnation=1))
+    assert isinstance(reply, FencedMsg) and reply.min_incarnation == 4
+    assert rig.device.stats.writes == 0
+    assert rig.ds.stats.fenced_writes == 1
+    assert rig.ds.stats.write_rpcs == 0
+    assert rig.ecache.total_entries == 0
+    assert not rig.ds.store.has(KEY)
+
+
+class _HandlerBug(Exception):
+    pass
+
+
+def _raise(*_args, **_kwargs):
+    raise _HandlerBug("boom")
+
+
+@pytest.mark.parametrize("where", ["dispatch", "completion"])
+def test_exception_in_an_io_handler_surfaces_from_run(where):
+    rig = Rig()
+    if where == "dispatch":
+        rig.ecache.merge = _raise  # the write's work at dispatch
+        msg = IoWriteMsg(KEY, [WireBlock(0, 4, 1, b"data")])
+    else:
+        rig.ds.store.read = _raise  # the read's work at completion
+        msg = IoReadMsg(KEY, 0, 4)
+    rpc_call(rig.client, rig.server_node, "io", msg)
+    with pytest.raises(_HandlerBug, match="boom"):
+        rig.sim.run()

@@ -1,8 +1,10 @@
 """Unit tests for the striping layout."""
 
+import random
+
 import pytest
 
-from repro.pfs.layout import StripeLayout
+from repro.pfs.layout import Fragment, StripeLayout
 
 MB = 1024 * 1024
 
@@ -115,3 +117,36 @@ def test_invalid_args():
         lay.local_to_file(5, 0)
     with pytest.raises(ValueError):
         lay.stripe_local_size(0, -1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_map_extent_matches_the_chunk_walk(seed):
+    # map_extent answers an extent inside one chunk without the chunk
+    # walk; on every input it must give what the walk gives.  Offsets and
+    # lengths are drawn around chunk edges as well as uniformly, and
+    # zero lengths are included.
+    rng = random.Random(seed)
+    for _ in range(2000):
+        lay = StripeLayout(rng.randint(1, 6),
+                           rng.choice([1, 2, 7, 64, 100, 4096]))
+        size = lay.stripe_size
+        edge = rng.randint(0, 12) * size
+        offset = rng.choice([
+            rng.randint(0, 16 * size),
+            edge, max(edge - 1, 0), edge + 1,
+        ])
+        length = rng.choice([
+            0, 1, size, size - offset % size, size - offset % size + 1,
+            rng.randint(0, 3 * size),
+        ])
+        length = max(length, 0)
+        assert lay.map_extent(offset, length) == \
+            lay._map_chunks(offset, length), (lay, offset, length)
+
+
+def test_map_extent_inside_one_chunk_is_one_fragment():
+    lay = StripeLayout(4, 100)
+    assert lay.map_extent(530, 70) == [Fragment(1, 130, 530, 70)]
+    assert lay.map_extent(530, 71) == lay._map_chunks(530, 71)
+    assert len(lay.map_extent(530, 71)) == 2
+    assert lay.map_extent(530, 0) == []

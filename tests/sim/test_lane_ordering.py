@@ -262,3 +262,69 @@ def test_randomised_mix_pops_in_time_priority_push_order(seed):
     sim.run()
     assert not pending and budget[0] <= 0
     assert len(processed) > 400
+
+
+# ------------------------------------------------- in-place completion
+# Event._succeed_in_place processes an event inside the callback that
+# triggers it when the entry succeed() would push is the next one to pop.
+# Called in tail position of an event's only callback, it must give the
+# order succeed() gives, with one entry fewer.
+
+def _in_place_rig(setup):
+    """Trigger ``fut`` in place from the only callback of an event at
+    t=1; ``setup(sim, trace)`` runs in that callback first."""
+    sim = Simulator()
+    trace = []
+    fut = Event(sim)
+    fut.callbacks.append(_tag(trace, "fut"))
+    arrival = sim.timeout(1.0)
+
+    def on_arrival(_ev):
+        trace.append("arrival")
+        setup(sim, trace)
+        fut._succeed_in_place("v")
+
+    arrival.callbacks.append(on_arrival)
+    return sim, trace, fut
+
+
+def test_in_place_completion_runs_inside_the_callback_when_nothing_is_due():
+    def setup(sim, trace):
+        sim.timeout(0.0, priority=LOW).add_callback(_tag(trace, "low@1"))
+        sim.timeout(0.5).add_callback(_tag(trace, "t@1.5"))
+
+    sim, trace, fut = _in_place_rig(setup)
+    sim.step()
+    assert trace == ["arrival", "fut"]  # inside the arrival's step
+    assert fut.processed and fut.value == "v"
+    sim.run()
+    assert trace == ["arrival", "fut", "low@1", "t@1.5"]
+    assert sim.events_processed == 3  # the arrival, low@1 and t@1.5
+
+
+@pytest.mark.parametrize("priority", [HIGH, NORMAL])
+def test_in_place_completion_yields_to_an_entry_due_now(priority):
+    # An entry due at (now, HIGH) or at (now, NORMAL) sorts before the
+    # fresh (now, NORMAL, seq) key succeed() would push: it runs first,
+    # and the completion costs its event as before.
+    def setup(sim, trace):
+        sim.timeout(0.0, priority=priority).add_callback(
+            _tag(trace, "due@1"))
+
+    sim, trace, fut = _in_place_rig(setup)
+    sim.step()
+    assert trace == ["arrival"]
+    assert not fut.processed and fut.triggered
+    sim.run()
+    assert trace == ["arrival", "due@1", "fut"]
+    assert sim.events_processed == 3
+
+
+def test_in_place_completion_of_a_triggered_event_raises():
+    from repro.sim.core import SimulationError
+
+    sim = Simulator()
+    ev = sim.event()
+    ev.succeed()
+    with pytest.raises(SimulationError, match="already triggered"):
+        ev._succeed_in_place()

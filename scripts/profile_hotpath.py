@@ -26,6 +26,13 @@ genuinely overlap each request (about 190 CANCELING [s, EOF) locks
 waiting for their flush), then the `sim` kernel, `net.rpc` and the
 extent map's interval work.
 
+``fig17`` is not a benchmark shape: it runs one Fig. 17 cell (seqdlm,
+16 clients taking turns writing 64 KiB at offset 0 of one stripe under
+NBW, ``--rounds`` writes each), unprofiled, and prints one line: host
+seconds, simulated milliseconds, the lock-table maximum and the kernel
+events.  Host time per round grows with the rounds there (ROADMAP 16a);
+the other three figures are deterministic.
+
 ``--events`` replaces the profile with a count: every kernel event the
 run processes, keyed by event class plus the callback it runs or the
 process it resumes, divided by the number of client reads and writes.
@@ -35,6 +42,7 @@ totals equal the run's `sim.events`.
     python scripts/profile_hotpath.py [--shape segmented|traffic]
                                       [--writes N] [--sort tottime]
                                       [--events]
+    python scripts/profile_hotpath.py --shape fig17 [--rounds R]
 """
 
 import argparse
@@ -72,6 +80,19 @@ def workload(writes: int, shape: str = "strided"):
         pattern="n1-strided", clients=16, writes_per_client=writes,
         xfer=64 * 1024, stripes=1,
         cluster=ClusterConfig(dlm="seqdlm", content_mode="off")))
+
+
+def print_fig17(rounds: int) -> None:
+    from repro.dlm.types import LockMode
+    from repro.harness.experiments import fig17_cell
+
+    t0 = time.perf_counter()
+    cluster, total = fig17_cell(LockMode.NBW, 64 * 1024, 16, rounds)
+    host = time.perf_counter() - t0
+    table_max = max(ls.lock_table_max for ls in cluster.lock_servers)
+    print(f"fig17 NBW 64K, 16 clients x {rounds} rounds: {host:.2f} s host, "
+          f"{total * 1e3:.1f} sim ms, lock-table max {table_max}, "
+          f"{cluster.sim.events_processed} events")
 
 
 def _name(proc) -> str:
@@ -146,12 +167,15 @@ def print_events(writes: int, shape: str) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--shape", default="strided",
-                        choices=("strided", "segmented", "traffic"),
+                        choices=("strided", "segmented", "traffic",
+                                 "fig17"),
                         help="which benchmark shape to run")
     parser.add_argument("--writes", type=int, default=320,
                         help="writes per client (default 320, the "
                              "benchmark's strided_hot); for traffic, mean "
                              "requests per client")
+    parser.add_argument("--rounds", type=int, default=100,
+                        help="writes per client of the fig17 shape")
     parser.add_argument("--sort", default="cumulative",
                         choices=("cumulative", "tottime", "ncalls"),
                         help="pstats sort key")
@@ -161,6 +185,9 @@ def main() -> int:
                              "of profiling")
     args = parser.parse_args()
 
+    if args.shape == "fig17":
+        print_fig17(args.rounds)
+        return 0
     if args.events:
         print_events(args.writes, args.shape)
         return 0

@@ -312,8 +312,10 @@ class LockClient:
         self._absorb(grant, lock)
         self._cache.setdefault(resource_id, []).append(lock)
         if lock.state is LockState.GRANTED:
-            self._usable.setdefault(resource_id,
-                                    LockTable())[lock.lock_id] = lock
+            usable = self._usable.get(resource_id)
+            if usable is None:
+                usable = self._usable[resource_id] = LockTable()
+            usable[lock.lock_id] = lock
         self._by_id[(resource_id, lock.lock_id)] = lock
         key = (resource_id, lock.lock_id)
         if key in self._pending_revokes:

@@ -28,6 +28,8 @@ import itertools
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice
 from operator import itemgetter
 from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
@@ -122,6 +124,51 @@ class _Pending:
     arrival: float
 
 
+class _Grouping:
+    """The lock classes of one LCM, grouped by LCM column.
+
+    A lock's class is its ``(mode, state)``; its *column* is the set of
+    request modes the LCM refuses next to it (the LCM is a pure function
+    of request mode, granted mode and granted state).  Classes with the
+    same column form one group: a request at ``mode`` is blocked by every
+    lock of the groups whose column holds ``mode`` and by no other lock,
+    so a conflict query reads those groups whole and nothing else.  Under
+    Table II that is three groups — the readers, the CANCELING NBW chain
+    that early grant lets NBW and BW requests past, and every other write
+    — and under the traditional LCM two.
+    """
+
+    __slots__ = ("of", "blocking", "writes", "count")
+
+    def __init__(self, lcm):
+        columns: Dict[frozenset, int] = {}
+        #: ``mode value -> state value -> group id``, keyed by the
+        #: members' values (hashing an Enum member is a Python call).
+        self.of: Dict[str, Dict[str, int]] = {}
+        writes = set()
+        for mode in LockMode:
+            for state in LockState:
+                column = frozenset(r for r in LockMode
+                                   if not lcm(r, mode, state))
+                gid = columns.setdefault(column, len(columns))
+                self.of.setdefault(mode.value, {})[state.value] = gid
+                if is_write_mode(mode):
+                    writes.add(gid)
+        self.count = len(columns)
+        #: ``request mode value ->`` the ids of the groups blocking it.
+        self.blocking: Dict[str, Tuple[int, ...]] = {
+            r.value: tuple(gid for column, gid in columns.items()
+                           if r in column)
+            for r in LockMode}
+        #: Ids of the groups holding a write class.
+        self.writes: Tuple[int, ...] = tuple(sorted(writes))
+
+
+@lru_cache(maxsize=8)  # a run uses one LCM; the tests a handful
+def _lcm_grouping(lcm) -> _Grouping:
+    return _Grouping(lcm)
+
+
 class LockTable(dict):
     """Locks of one resource, ``lock_id -> lock``, with an interval index.
 
@@ -132,53 +179,93 @@ class LockTable(dict):
     The lock server keeps each resource's granted :class:`ServerLock` records
     in one; the lock client keeps its reusable grants in one.
 
-    The index is two sorted lists, one keyed by range start and one by
-    range end.  A lock is indexed once, by the hull of its extents (a
-    2048-extent datatype lock costs one entry, not 2048); the hull only
-    selects candidates, the exact extent lists decide.  A query walks
-    whichever list has the shorter qualifying side — for an overlap the
-    prefix ``start < b1`` or the suffix ``end > b0``; in the paper's
-    ascending-offset patterns the suffix stays short however large the
-    table grows.
+    **Groups.**  A table built with an ``lcm`` files each lock in the
+    group of its ``(mode, state)`` — the classes the LCM treats alike,
+    one group per LCM column (:class:`_Grouping`) — and a query names the
+    groups it reads: :meth:`blocking` gives the groups that can block a
+    request at a mode, :attr:`write_groups` the ones holding writes.  So
+    the CANCELING NBW chain that piles up under early grant costs an NBW
+    request's conflict scan nothing, where a scan of every overlapping
+    lock walked all of it only to drop it.  A table without an ``lcm``
+    (the client's) is one group.  A lock whose mode or state changes
+    while filed must be re-installed under its id (``table[id] = lock``);
+    that moves it only when its group changes.
+
+    **Per group**, the index is two sorted lists, one keyed by range
+    start and one by range end.  A lock is indexed once, by the hull of
+    its extents (a 2048-extent datatype lock costs one entry, not 2048);
+    the hull only selects candidates, the exact extent lists decide.  A
+    query walks whichever list has the shorter qualifying side — for an
+    overlap the prefix ``start < b1`` or the suffix ``end > b0``; in the
+    paper's ascending-offset patterns the suffix stays short however
+    large the table grows.
 
     Query results come back **in dict insertion order**, the order a
     linear scan of ``values()`` produces: on the server it decides which
     ``RevokeMsg`` leaves first and with it every later simulated
     timestamp.  Each lock carries the sequence number of its first
     insertion for that purpose; re-installing an existing ``lock_id``
-    keeps it, as the dict keeps the key's position.
+    keeps it, as the dict keeps the key's position, and the hits of all
+    the groups read are merged by it.  A group-filtered query therefore
+    returns exactly what a scan of every overlapping lock followed by the
+    LCM test returned: the same locks, in the same order.
 
     ``update`` / ``setdefault`` / ``popitem`` / ``|=`` would bypass the
     index and are rejected.
     """
 
-    __slots__ = ("_by_start", "_by_end", "_entries", "_next_seq", "_live",
-                 "_last")
+    __slots__ = ("_grouping", "_groups", "_all", "_entries", "_next_seq",
+                 "_live", "_last")
 
-    def __init__(self, live: Optional[List[int]] = None):
+    def __init__(self, live: Optional[List[int]] = None, lcm=None):
         super().__init__()
-        #: Sorted ``(start, seq, end, lock, single)`` rows: the hull, the
+        self._grouping = None if lcm is None else _lcm_grouping(lcm)
+        count = 1 if self._grouping is None else self._grouping.count
+        #: Per group id, its ``(by_start, by_end)`` lists: sorted
+        #: ``(start, seq, end, lock, single, group)`` rows — the hull, the
         #: insertion sequence number (unique, so a comparison never
-        #: reaches the lock) and whether the lock has exactly one extent
-        #: (then the hull *is* the lock).
-        self._by_start: List[tuple] = []
-        #: The same rows keyed by end: ``(end, seq, start, lock, single)``.
-        self._by_end: List[tuple] = []
-        #: ``lock_id ->`` its ``_by_start`` row: the keys a lock was
-        #: indexed under, whatever happens to the lock object later.
+        #: reaches the lock), whether the lock has exactly one extent
+        #: (then the hull *is* the lock) and the group — and the same
+        #: locks as ``(end, seq, start, lock, single)`` rows.
+        self._groups: List[Tuple[list, list]] = [
+            ([], []) for _ in range(count)]
+        self._all = tuple(range(count))
+        #: ``lock_id ->`` its ``by_start`` row: the keys and group a lock
+        #: was filed under, whatever happens to the lock object later.
         self._entries: Dict[int, tuple] = {}
         self._next_seq = 0
         #: One-cell count of locks shared by all tables of one lock
         #: server (:attr:`LockServer.lock_table_size`).
         self._live = [0] if live is None else live
-        #: ``(extents, result)`` of the latest :meth:`overlapping`, valid
-        #: until the next mutation: the server asks the same question
-        #: again when it grants the request it just found conflict-free,
-        #: and each time a blocked queue head is re-examined.
+        #: ``(extents, groups, result)`` of the latest
+        #: :meth:`overlapping`, valid until the next mutation: a blocked
+        #: queue head is re-examined each time a request queues behind it.
         self._last: Optional[tuple] = None
+
+    def _group_of(self, mode: LockMode, state: LockState) -> int:
+        grouping = self._grouping
+        return 0 if grouping is None else \
+            grouping.of[mode._value_][state._value_]
+
+    def blocking(self, mode: LockMode) -> Tuple[int, ...]:
+        """Ids of the groups whose locks a request at ``mode`` may not
+        overlap."""
+        grouping = self._grouping
+        return self._all if grouping is None else \
+            grouping.blocking[mode._value_]
+
+    @property
+    def write_groups(self) -> Tuple[int, ...]:
+        """Ids of the groups that can hold a write-mode lock."""
+        grouping = self._grouping
+        return self._all if grouping is None else grouping.writes
 
     # -- mutation -----------------------------------------------------------
     def __setitem__(self, lock_id: int, lock) -> None:
+        extents = lock.extents
+        single = len(extents) == 1
+        lo, hi = extents[0] if single else _hull(extents)
+        gid = self._group_of(lock.mode, lock.state)
         old = self._entries.get(lock_id)
         if old is None:
             seq = self._next_seq
@@ -186,13 +273,15 @@ class LockTable(dict):
             self._live[0] += 1
         else:
             seq = old[1]
+            row = (lo, seq, hi, lock, single, gid)
+            if old[3] is lock and old == row:
+                return  # re-installed where it is filed: nothing moves
             self._unindex(old)
         self._last = None
-        single = len(lock.extents) == 1
-        lo, hi = lock.extents[0] if single else _hull(lock.extents)
-        row = self._entries[lock_id] = (lo, seq, hi, lock, single)
-        insort(self._by_start, row)
-        insort(self._by_end, (hi, seq, lo, lock, single))
+        row = self._entries[lock_id] = (lo, seq, hi, lock, single, gid)
+        by_start, by_end = self._groups[gid]
+        insort(by_start, row)
+        insort(by_end, (hi, seq, lo, lock, single))
         super().__setitem__(lock_id, lock)
 
     def __delitem__(self, lock_id: int) -> None:
@@ -214,14 +303,16 @@ class LockTable(dict):
         self._live[0] -= len(self)
         super().clear()
         self._entries.clear()
-        self._by_start.clear()
-        self._by_end.clear()
+        for by_start, by_end in self._groups:
+            by_start.clear()
+            by_end.clear()
         self._last = None
 
     def _unindex(self, row: tuple) -> None:
         lo, seq, hi = row[:3]
-        del self._by_start[bisect_left(self._by_start, (lo, seq))]
-        del self._by_end[bisect_left(self._by_end, (hi, seq))]
+        by_start, by_end = self._groups[row[5]]
+        del by_start[bisect_left(by_start, (lo, seq))]
+        del by_end[bisect_left(by_end, (hi, seq))]
 
     def _unsupported(self, *_args, **_kwargs):
         raise TypeError("LockTable is mutated through [] / del / pop / "
@@ -230,39 +321,78 @@ class LockTable(dict):
     update = setdefault = popitem = __ior__ = _unsupported
 
     # -- queries ------------------------------------------------------------
-    def overlapping(self, extents) -> list:
-        """Locks sharing at least one byte with ``extents``, in
-        insertion order (a list the caller must not modify).
-        Zero-length extents match nothing."""
+    def overlapping(self, extents, groups: Optional[Tuple[int, ...]] = None
+                    ) -> list:
+        """Locks of ``groups`` (default: all) sharing at least one byte
+        with ``extents``, in insertion order (a list the caller must not
+        modify).  Zero-length extents match nothing."""
         last = self._last
-        if last is not None and last[0] == extents:
-            return last[1]
+        if last is not None and last[1] is groups and last[0] == extents:
+            return last[2]
         # Two single ranges overlap iff their hulls do; anything else is
         # confirmed against the extent lists.
         one = len(extents) == 1
         b0, b1 = extents[0] if one else _hull(extents)
         if b0 >= b1:
             return []
-        by_start, by_end = self._by_start, self._by_end
-        below = bisect_left(by_start, (b1,))      # rows with start < b1
-        above = bisect_left(by_end, (b0 + 1,))    # first row with end > b0
-        if below <= len(by_end) - above:
-            hits = [(seq, g) for lo, seq, hi, g, single in by_start[:below]
-                    if hi > b0 and (one and single and lo < hi or
-                                    _extents_overlap(g.extents, extents))]
-        else:
-            hits = [(seq, g) for hi, seq, lo, g, single in by_end[above:]
-                    if lo < b1 and (one and single and lo < hi or
-                                    _extents_overlap(g.extents, extents))]
-        hits.sort()
+        hits = []
+        for gid in self._all if groups is None else groups:
+            by_start, by_end = self._groups[gid]
+            if not by_start:
+                continue
+            below = bisect_left(by_start, (b1,))      # rows with start < b1
+            above = bisect_left(by_end, (b0 + 1,))    # first row, end > b0
+            if below <= len(by_end) - above:
+                hits += [(seq, g) for lo, seq, hi, g, single, _gid
+                         in by_start[:below]
+                         if hi > b0 and (one and single and lo < hi or
+                                         _extents_overlap(g.extents, extents))]
+            else:
+                hits += [(seq, g) for hi, seq, lo, g, single in by_end[above:]
+                         if lo < b1 and (one and single and lo < hi or
+                                         _extents_overlap(g.extents, extents))]
+        if len(hits) > 1:
+            hits.sort()
         found = [g for _seq, g in hits]
-        self._last = (extents, found)
+        self._last = (extents, groups, found)
         return found
 
-    def ending_after(self, offset: int) -> list:
-        """Locks with an extent ending above ``offset``, in insertion
-        order."""
-        tail = self._by_end[bisect_left(self._by_end, (offset + 1,)):]
+    def has_overlapping(self, extents, mode: LockMode,
+                        state: LockState) -> bool:
+        """Whether a lock of class ``(mode, state)`` shares a byte with
+        ``extents``: a walk of that class's group that stops at the first
+        hit."""
+        one = len(extents) == 1
+        b0, b1 = extents[0] if one else _hull(extents)
+        if b0 >= b1:
+            return False
+        by_start, by_end = self._groups[self._group_of(mode, state)]
+        if not by_start:
+            return False
+        below = bisect_left(by_start, (b1,))
+        above = bisect_left(by_end, (b0 + 1,))
+        if below <= len(by_end) - above:
+            rows = ((lo, hi, g, single) for lo, _seq, hi, g, single, _gid
+                    in islice(by_start, below))
+        else:
+            rows = ((lo, hi, g, single) for hi, _seq, lo, g, single
+                    in islice(reversed(by_end), len(by_end) - above))
+        for lo, hi, g, single in rows:
+            if (lo < b1 and hi > b0 and g.mode is mode and g.state is state
+                    and (one and single and lo < hi or
+                         _extents_overlap(g.extents, extents))):
+                return True
+        return False
+
+    def ending_after(self, offset: int,
+                     groups: Optional[Tuple[int, ...]] = None) -> list:
+        """Locks of ``groups`` (default: all) with an extent ending above
+        ``offset``, in insertion order."""
+        tail = []
+        for gid in self._all if groups is None else groups:
+            by_end = self._groups[gid][1]
+            if by_end:
+                tail += by_end[bisect_left(by_end, (offset + 1,)):]
         tail.sort(key=itemgetter(1))
         return [row[3] for row in tail]
 
@@ -275,17 +405,19 @@ class LockTable(dict):
         # is confirmed against the extent lists.
         one = len(extents) == 1
         b0, b1 = extents[0] if one else _hull(extents)
-        by_start, by_end = self._by_start, self._by_end
-        below = bisect_left(by_start, (b0 + 1,))  # rows with start <= b0
-        above = bisect_left(by_end, (b1,))        # first row with end >= b1
-        if below <= len(by_end) - above:
-            hits = [(seq, g) for _lo, seq, hi, g, single in by_start[:below]
-                    if hi >= b1 and (one and single or
-                                     _extents_cover(g.extents, extents))]
-        else:
-            hits = [(seq, g) for _hi, seq, lo, g, single in by_end[above:]
-                    if lo <= b0 and (one and single or
-                                     _extents_cover(g.extents, extents))]
+        hits = []
+        for by_start, by_end in self._groups:
+            below = bisect_left(by_start, (b0 + 1,))  # rows, start <= b0
+            above = bisect_left(by_end, (b1,))        # first row, end >= b1
+            if below <= len(by_end) - above:
+                hits += [(seq, g) for _lo, seq, hi, g, single, _gid
+                         in by_start[:below]
+                         if hi >= b1 and (one and single or
+                                          _extents_cover(g.extents, extents))]
+            else:
+                hits += [(seq, g) for _hi, seq, lo, g, single in by_end[above:]
+                         if lo <= b0 and (one and single or
+                                          _extents_cover(g.extents, extents))]
         if len(hits) > 1:
             hits.sort()
         return [g for _seq, g in hits]
@@ -293,37 +425,57 @@ class LockTable(dict):
     # -- self-check ---------------------------------------------------------
     def index_fault(self) -> Optional[str]:
         """Why the index disagrees with the mapping, or None when it
-        holds exactly the mapping's locks in the mapping's order (O(n);
-        validator invariant I10)."""
+        holds exactly the mapping's locks in the mapping's order, each
+        under the hull of its extents and in the group of its current
+        mode and state (O(n); validator invariant I10)."""
         entries = self._entries
-        if not (len(self) == len(entries) == len(self._by_start)
-                == len(self._by_end)):
+        groups = self._groups
+        starts = sum(len(by_start) for by_start, _by_end in groups)
+        ends = sum(len(by_end) for _by_start, by_end in groups)
+        if not len(self) == len(entries) == starts == ends:
             return (f"{len(self)} locks but {len(entries)} entries, "
-                    f"{len(self._by_start)} by start, "
-                    f"{len(self._by_end)} by end")
+                    f"{starts} by start, {ends} by end")
+        of = None if self._grouping is None else self._grouping.of
         last_seq = -1
         for lock_id, lock in self.items():
             row = entries.get(lock_id)
             if row is None or row[3] is not lock:
                 return f"lock {lock_id} is not the one indexed"
-            lo, seq, hi, _lock, single = row
-            if (lo, hi) != _hull(lock.extents) or \
-                    single != (len(lock.extents) == 1):
+            lo, seq, hi, _lock, single, gid = row
+            extents = lock.extents
+            if len(extents) == 1:
+                s, e = extents[0]
+                filed = single and s == lo and e == hi
+            else:
+                filed = not single and _hull(extents) == (lo, hi)
+            if not filed:
                 return f"lock {lock_id} indexed as [{lo}, {hi})"
+            if of is not None and \
+                    of[lock.mode._value_][lock.state._value_] != gid:
+                return (f"lock {lock_id} ({lock.mode._value_}, "
+                        f"{lock.state._value_}) filed in group {gid}")
             if seq <= last_seq:
                 return f"lock {lock_id} out of insertion order"
             last_seq = seq
-        for name, rows in (("start", self._by_start), ("end", self._by_end)):
+        for gid, (by_start, by_end) in enumerate(groups):
             prev = None
-            for key, seq, other, lock, _single in rows:
+            for row in by_start:
+                lock = row[3]
+                if entries.get(lock.lock_id) is not row or row[5] != gid:
+                    return f"stray by-start row for lock {lock.lock_id}"
+                key = row[:2]
+                if prev is not None and key <= prev:
+                    return f"by-start list unsorted at lock {lock.lock_id}"
+                prev = key
+            prev = None
+            for hi, seq, lo, lock, _single in by_end:
                 row = entries.get(lock.lock_id)
-                want = (key, seq, other) if name == "start" else \
-                    (other, seq, key)
-                if row is None or row[3] is not lock or row[:3] != want:
-                    return f"stray by-{name} row for lock {lock.lock_id}"
-                if prev is not None and (key, seq) <= prev:
-                    return f"by-{name} list unsorted at lock {lock.lock_id}"
-                prev = (key, seq)
+                if row is None or row[3] is not lock or row[5] != gid or \
+                        row[:3] != (lo, seq, hi):
+                    return f"stray by-end row for lock {lock.lock_id}"
+                if prev is not None and (hi, seq) <= prev:
+                    return f"by-end list unsorted at lock {lock.lock_id}"
+                prev = (hi, seq)
         return None
 
 
@@ -497,7 +649,7 @@ class LockServer:
         res = self._resources.get(resource_id)
         if res is None:
             res = self._resources[resource_id] = _Resource(
-                resource_id, LockTable(self._granted_count))
+                resource_id, LockTable(self._granted_count, self.config.lcm))
             if self.sn_floors is not None:
                 # The resource was idle and frugally collapsed: restore
                 # its sequencer floor so no SN is ever reissued.
@@ -588,9 +740,6 @@ class LockServer:
         size = self._granted_count[0]
         if size > self.lock_table_max:
             self.lock_table_max = size
-
-    def resource_lock_count(self, resource_id: Hashable) -> int:
-        return len(self._res(resource_id).granted)
 
     def granted_locks(self, resource_id: Hashable) -> List[ServerLock]:
         return list(self._res(resource_id).granted.values())
@@ -730,6 +879,7 @@ class LockServer:
         if lock is None:
             return  # raced with release
         lock.state = LockState.CANCELING
+        res.granted[lock.lock_id] = lock  # re-filed under its new group
         self._process(res)
 
     def _on_downgrade(self, msg: DowngradeMsg) -> None:
@@ -738,6 +888,7 @@ class LockServer:
         if lock is None:
             return
         lock.mode = msg.new_mode
+        res.granted[lock.lock_id] = lock  # re-filed under its new group
         self.stats.downgrades += 1
         self._process(res)
 
@@ -755,7 +906,8 @@ class LockServer:
         resource's next SN is fully flushed."""
         self.stats.msn_queries += 1
         res = self._res(msg.resource_id)
-        sns = [g.sn for g in res.granted.overlapping(msg.extents)
+        table = res.granted
+        sns = [g.sn for g in table.overlapping(msg.extents, table.write_groups)
                if is_write_mode(g.mode)]
         msn = min(sns) - 1 if sns else res.next_sn - 1
         req.respond(msn)
@@ -863,28 +1015,12 @@ class LockServer:
         req.respond("ok", nbytes=CTRL_MSG_BYTES)
 
     # ------------------------------------------------------------ the queue
-    def _incompatible(self, mode: LockMode,
-                      locks: List[ServerLock]) -> List[ServerLock]:
-        """The locks of ``locks`` a grant at ``mode`` may not coexist
-        with, order kept.  The LCM is a pure function of ``(mode,
-        granted mode, granted state)`` and overlapping locks come in
-        long runs of one mode and state (a chain of CANCELING NBW locks
-        behind one writer), so it is evaluated once per run."""
-        lcm = self.config.lcm
-        out = []
-        run_mode = run_state = None
-        compatible = True
-        for g in locks:
-            if g.mode is not run_mode or g.state is not run_state:
-                run_mode, run_state = g.mode, g.state
-                compatible = lcm(mode, run_mode, run_state)
-            if not compatible:
-                out.append(g)
-        return out
-
     def _conflicts(self, res: _Resource, msg: LockRequestMsg) -> List[ServerLock]:
-        return self._incompatible(msg.mode,
-                                  res.granted.overlapping(msg.extents))
+        """The granted locks ``msg`` overlaps and may not coexist with,
+        in grant order: the overlapping locks of the groups that block
+        its mode (see :class:`LockTable`)."""
+        table = res.granted
+        return table.overlapping(msg.extents, table.blocking(msg.mode))
 
     @staticmethod
     def _absorbable(g: ServerLock, client_name: str) -> bool:
@@ -914,8 +1050,8 @@ class LockServer:
             blockers = []
             grew = False
             absorbed = {c.lock_id for c in absorb}
-            for g in self._incompatible(
-                    mode, res.granted.overlapping(((lo, hi),))):
+            table = res.granted
+            for g in table.overlapping(((lo, hi),), table.blocking(mode)):
                 if g.lock_id in absorbed:
                     continue
                 if self._absorbable(g, msg.client_name):
@@ -1012,6 +1148,7 @@ class LockServer:
         if end >= EOF:
             return extents, False
         lcm = self.config.lcm
+        table = res.granted
         bound = EOF
         # Granted locks that would conflict with the new mode cap the end;
         # one overlapping the requested range itself makes expansion
@@ -1020,8 +1157,8 @@ class LockServer:
         # the locks ending above ``start``.  (An empty request, ``start >=
         # end``, can be capped by a lock that starts at ``end`` and ends
         # no higher than ``start``; asking from ``end - 1`` keeps it.)
-        for g in self._incompatible(
-                mode, res.granted.ending_after(min(start, end - 1))):
+        for g in table.ending_after(min(start, end - 1),
+                                    table.blocking(mode)):
             for (gs, ge) in g.extents:
                 if gs >= end:
                     bound = min(bound, gs)
@@ -1044,7 +1181,7 @@ class LockServer:
                 elif oe > start:
                     return extents, False
         if policy is ExpansionPolicy.LUSTRE and \
-                len(res.granted) > LUSTRE_LOCK_COUNT_TRIGGER:
+                len(table) > LUSTRE_LOCK_COUNT_TRIGGER:
             bound = min(bound, end + LUSTRE_EXPANSION_CAP)
         if bound <= end:
             return extents, False
@@ -1071,6 +1208,13 @@ class LockServer:
                 return True
         return False
 
+    @staticmethod
+    def _early_grant(res: _Resource, mode: LockMode, extents) -> bool:
+        """Whether Table II's N/Y cell enables a grant at ``mode`` over
+        ``extents``: a write overlapping a CANCELING NBW lock."""
+        return is_write_mode(mode) and res.granted.has_overlapping(
+            extents, LockMode.NBW, LockState.CANCELING)
+
     def _grant(self, res: _Resource, pend: _Pending,
                absorb: Optional[List[ServerLock]] = None) -> None:
         msg = pend.msg
@@ -1093,10 +1237,7 @@ class LockServer:
                 del res.granted[c.lock_id]
             self.stats.upgrades += 1
 
-        # Early-grant accounting: did Table II's N/Y cell enable this?
-        if is_write_mode(mode) and any(
-                g.state is LockState.CANCELING and g.mode is LockMode.NBW
-                for g in res.granted.overlapping(extents)):
+        if self._early_grant(res, mode, extents):
             self.stats.early_grants += 1
 
         extents, expanded = self._expand(res, msg, mode, extents)

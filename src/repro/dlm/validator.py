@@ -61,11 +61,15 @@ I9. **Decentralized mutual exclusion over the message trace** — the
     coordinator before its release messages leave the node.
 I10. **Table/index coherence** — the interval index of a resource's
     :class:`~repro.dlm.server.LockTable` holds exactly the locks in the
-    mapping, each under the hull of its current extents, in the
-    mapping's insertion order (one O(n) pass,
-    :meth:`~repro.dlm.server.LockTable.index_fault`).  The server
-    answers its conflict, expansion and mSN questions from that index;
-    I1/I3/I4 above deliberately do *not* — they read ``granted`` as a
+    mapping, each under the hull of its current extents and in the
+    group of its current ``(mode, state)``, in the mapping's insertion
+    order (one O(n) pass,
+    :meth:`~repro.dlm.server.LockTable.index_fault`).  A conflict scan
+    reads only the groups that can block the request, so a mode or
+    state changed in place without re-filing the lock would hide a
+    conflict (or invent one).  The server answers its conflict,
+    expansion and mSN questions from that index; I1/I3/I4 above
+    deliberately do *not* — they read ``granted`` as a
     plain mapping (``values()`` / ``items()``) and rebuild what they
     need from scratch on every transition, so that they stay an
     independent oracle, and I10 is what ties the two views together: an

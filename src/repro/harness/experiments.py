@@ -153,6 +153,30 @@ def fig5_flush_ablation(scale: str = "small") -> ExperimentResult:
 # =====================================================================
 # Fig. 17 — breakdown of the fully-conflicting sequential write test
 # =====================================================================
+def fig17_cell(mode: LockMode, xfer: int, clients: int, rounds: int):
+    """One Fig. 17 cell: ``clients`` seqdlm clients take turns, round
+    robin, writing ``xfer`` bytes at offset 0 of one single-stripe file
+    under ``mode``, ``rounds`` times each.  Returns ``(cluster, total)``,
+    the finished cluster and the simulated time of the last write."""
+    cluster = Cluster(_base_cluster("seqdlm", num_clients=clients))
+    cluster.create_file("/seq", stripe_count=1)
+    channels = [Channel(cluster.sim) for _ in range(clients)]
+    span = {}
+
+    def worker(rank):
+        c = cluster.clients[rank]
+        fh = yield from c.open("/seq")
+        for _ in range(rounds):
+            yield channels[rank].recv()
+            yield from c.write(fh, 0, nbytes=xfer, forced_mode=mode)
+            channels[(rank + 1) % clients].send(None)
+        span[rank] = c.sim.now
+
+    channels[0].send(None)
+    cluster.run_clients([worker(r) for r in range(clients)])
+    return cluster, max(span.values())
+
+
 def fig17_breakdown(scale: str = "small") -> ExperimentResult:
     """Fig. 17: time breakdown of the fully conflicting write sequence."""
     s = SCALES[scale]
@@ -165,24 +189,7 @@ def fig17_breakdown(scale: str = "small") -> ExperimentResult:
                  "conflict-resolution %"])
     for mode in (LockMode.PW, LockMode.NBW):
         for xfer in (16 * KB, 64 * KB, 256 * KB, 1 * MB):
-            clusterN = Cluster(_base_cluster("seqdlm", num_clients=n))
-            clusterN.create_file("/seq", stripe_count=1)
-            channels = [Channel(clusterN.sim) for _ in range(n)]
-            span = {}
-
-            def worker(rank):
-                c = clusterN.clients[rank]
-                fh = yield from c.open("/seq")
-                for _ in range(rounds):
-                    yield channels[rank].recv()
-                    yield from c.write(fh, 0, nbytes=xfer,
-                                       forced_mode=mode)
-                    channels[(rank + 1) % n].send(None)
-                span[rank] = c.sim.now
-
-            channels[0].send(None)
-            clusterN.run_clients([worker(r) for r in range(n)])
-            total = max(span.values())
+            clusterN, total = fig17_cell(mode, xfer, n, rounds)
             rev = sum(ls.stats.revoke_wait_time
                       for ls in clusterN.lock_servers)
             cancel = sum(lc.stats.cancel_time

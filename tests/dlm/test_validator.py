@@ -307,7 +307,8 @@ def test_i10_detects_lock_missing_from_index():
     res.granted[1] = ServerLock(1, "r", "a", NBW, ((0, 100),), 1, G)
     validator.validate_resource(res)  # coherent: no raise
     # Corrupt the index behind the mapping's back.
-    del res.granted._by_end[0]
+    by_end = res.granted._groups[res.granted._entries[1][-1]][1]
+    del by_end[0]
     with pytest.raises(LockInvariantViolation, match=r"\[I10\]"):
         validator.validate_resource(res)
 
@@ -341,6 +342,30 @@ def test_i10_detects_extents_changed_under_the_index():
         validator.validate_resource(res)
     res.granted[1] = lock  # re-installing re-indexes
     validator.validate_resource(res)
+
+
+def test_i10_detects_state_flipped_behind_the_table():
+    """The table files each lock in the group of its (mode, state), and
+    a conflict scan reads only the groups that can block the request.
+    A CANCELING NBW lock flipped back to GRANTED in place, without being
+    re-installed, stays filed with the chain an NBW request is let past:
+    the server no longer sees the conflict, and only I10 can object."""
+    rig = Rig(dlm="seqdlm", clients=1)
+    validator = LockValidator(rig.server)
+    res = _resource_of(rig)
+    res.next_sn = 10
+    lock = ServerLock(1, "r", "a", NBW, ((0, 100),), 1, C)
+    res.granted[1] = lock
+    validator.validate_resource(res)  # coherent: no raise
+    request = LockRequestMsg("r", NBW, ((50, 60),), "b")
+    assert rig.server._conflicts(res, request) == []
+    lock.state = G
+    assert rig.server._conflicts(res, request) == []   # the conflict hides
+    with pytest.raises(LockInvariantViolation, match=r"\[I10\]"):
+        validator.validate_resource(res)
+    res.granted[1] = lock  # re-installing re-files it
+    validator.validate_resource(res)
+    assert rig.server._conflicts(res, request) == [lock]
 
 
 def test_detach_restores_original_process():

@@ -13,7 +13,7 @@ from unittest.mock import patch
 
 import pytest
 
-from repro.dlm import LockMode
+from repro.dlm import LockMode, LockState
 from repro.dlm.config import ExpansionPolicy
 from repro.dlm.server import LockTable
 from repro.dlm.validator import LockInvariantViolation, LockValidator
@@ -85,7 +85,9 @@ def test_grantable_queue_head_left_parked_is_killed_by_i4():
     server = rig.server
 
     def conflicts_ignoring_ranges(res, msg):
-        return server._incompatible(msg.mode, list(res.granted.values()))
+        lcm = server.config.lcm
+        return [g for g in res.granted.values()
+                if not lcm(msg.mode, g.mode, g.state)]
 
     with patch.object(server, "_conflicts", conflicts_ignoring_ranges):
         with pytest.raises(LockInvariantViolation, match=r"\[I4\]"):
@@ -168,8 +170,29 @@ def test_dropped_index_row_is_killed_by_i10():
 
     def setitem_dropping_a_row(table, lock_id, lock):
         real_setitem(table, lock_id, lock)
-        del table._by_end[-1]
+        del table._groups[table._entries[lock_id][-1]][1][-1]
 
     with patch.object(LockTable, "__setitem__", setitem_dropping_a_row):
         with pytest.raises(LockInvariantViolation, match=r"\[I10\]"):
             run(rig, *_two_writers(rig))
+
+
+def test_revoke_ack_without_refiling_is_killed_by_i10():
+    """``_on_revoke_ack`` flips the lock to CANCELING in place but does
+    not re-install it, so the table keeps it filed with the GRANTED
+    writes: the index the server queries no longer matches the lock."""
+    rig = Rig(dlm="seqdlm", clients=2)
+    LockValidator(rig.server)
+    server = rig.server
+
+    def ack_without_refiling(msg):
+        res = server._res(msg.resource_id)
+        lock = res.granted.get(msg.lock_id)
+        if lock is not None:
+            lock.state = LockState.CANCELING
+            server._process(res)
+
+    with patch.object(server, "_on_revoke_ack", ack_without_refiling):
+        with pytest.raises(LockInvariantViolation, match=r"\[I10\]"):
+            run(rig, *_two_writers(rig))
+    assert server.stats.revocations_sent == 1

@@ -9,9 +9,14 @@ each query against a brute-force filter over ``values()`` of a plain
 order decides which revocation leaves first, so it is part of the
 contract, not a detail.
 
-The server paths (`_conflicts`, `_expand`, `_on_msn_query`) run through
-a real :class:`LockServer` whose resource table is the one under test;
-their oracles are the linear loops the index replaced.
+A table built with an LCM files each lock in the group of its
+``(mode, state)``, so the mutations also flip a lock's state and mode in
+place and re-install it, as the server does on a revocation ack and a
+downgrade.  The server paths (`_conflicts`, `_upgrade_set`, `_expand`,
+the early-grant decision, `_on_msn_query`) run through a real
+:class:`LockServer` whose resource table is the one under test, and
+whose flips go through `_on_revoke_ack` and `_on_downgrade`; their
+oracles are the linear loops the index replaced.
 """
 
 import random
@@ -25,9 +30,15 @@ from repro.dlm.config import (
     ExpansionPolicy,
 )
 from repro.dlm.extent import EOF
-from repro.dlm.messages import LockRequestMsg, MsnQueryMsg
+from repro.dlm.lcm import seqdlm_compatible, traditional_compatible
+from repro.dlm.messages import (
+    DowngradeMsg,
+    LockRequestMsg,
+    MsnQueryMsg,
+    RevokeAckMsg,
+)
 from repro.dlm.server import LockTable, ServerLock
-from repro.dlm.types import is_write_mode
+from repro.dlm.types import is_write_mode, severity_lub
 from tests.dlm.test_protocol import Rig
 
 SEEDS = (101, 202, 303)
@@ -63,15 +74,37 @@ def _lock(rng, lock_id):
                       _extents(rng), sn=lock_id, state=rng.choice(STATES))
 
 
-def _mutate(rng, table, model, next_id):
+def _flip(rng, table, lock, server=None):
+    """Change ``lock``'s state or mode in place and re-file it: through
+    the server's revocation-ack and downgrade handlers when ``server``
+    is given, else by re-installing it by hand."""
+    if rng.random() < 0.5:
+        if server is not None:
+            server._on_revoke_ack(RevokeAckMsg(lock.lock_id, "r"))
+        else:
+            lock.state = LockState.CANCELING
+            table[lock.lock_id] = lock
+    else:
+        mode = rng.choice(MODES)
+        if server is not None:
+            server._on_downgrade(DowngradeMsg(lock.lock_id, "r", mode))
+        else:
+            lock.mode = mode
+            table[lock.lock_id] = lock
+
+
+def _mutate(rng, table, model, next_id, server=None):
     """Apply one random mutation to ``table`` and the plain-dict
     ``model``; returns the next unused lock id."""
     roll = rng.random()
-    if roll < 0.45 or not model:
+    if roll < 0.40 or not model:
         table[next_id] = model[next_id] = _lock(rng, next_id)
         return next_id + 1
     victim = rng.choice(list(model))
-    if roll < 0.60:
+    if roll < 0.50:
+        # In place: the model holds the same object.
+        _flip(rng, table, model[victim], server)
+    elif roll < 0.60:
         del table[victim]
         del model[victim]
     elif roll < 0.75:
@@ -117,12 +150,15 @@ def _check_queries(rng, table, model):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_queries_match_brute_force_after_every_mutation(seed):
+    """One group (the client's table), and grouped by the columns of
+    Table II and of the traditional LCM."""
     rng = random.Random(seed)
-    table, model, next_id = LockTable(), {}, 1
-    for _ in range(400):
-        next_id = _mutate(rng, table, model, next_id)
-        _check_queries(rng, table, model)
-    assert table.covering(()) == list(model.values())
+    for lcm in (None, seqdlm_compatible, traditional_compatible):
+        table, model, next_id = LockTable(lcm=lcm), {}, 1
+        for _ in range(400):
+            next_id = _mutate(rng, table, model, next_id)
+            _check_queries(rng, table, model)
+        assert table.covering(()) == list(model.values())
 
 
 def test_mutators_that_bypass_the_index_are_rejected():
@@ -175,17 +211,62 @@ def _expand_oracle(server, res, mode, extents):
     return ((start, bound),), True
 
 
+def _upgrade_oracle(server, msg, conflicts, values):
+    """The pre-index ``_upgrade_set``: each pass over the union of the
+    request and the absorbed locks is a linear scan of every granted
+    lock."""
+    lcm = server.config.lcm
+    absorb = list(conflicts)
+    mode = msg.mode
+    for c in absorb:
+        mode = severity_lub(mode, c.mode)
+    while True:
+        lo = min([s for s, _e in msg.extents]
+                 + [s for c in absorb for s, _e in c.extents])
+        hi = max([e for _s, e in msg.extents]
+                 + [e for c in absorb for _s, e in c.extents])
+        blockers, grew = [], False
+        absorbed = {c.lock_id for c in absorb}
+        for g in values:
+            if not g.overlaps_extents(((lo, hi),)) or \
+                    lcm(mode, g.mode, g.state) or g.lock_id in absorbed:
+                continue
+            if server._absorbable(g, msg.client_name):
+                absorb.append(g)
+                mode = severity_lub(mode, g.mode)
+                grew = True
+                break
+            blockers.append(g)
+        if grew:
+            continue
+        return (None, blockers) if blockers else (absorb, [])
+
+
 def _check_server_paths(rng, server, res, model):
     values = list(model.values())
     lcm = server.config.lcm
     assert server.lock_table_size == len(model)
+    assert res.granted.index_fault() is None
     for _ in range(4):
         msg = LockRequestMsg("r", rng.choice(MODES), _extents(rng), "c0")
-        assert _ids(server._conflicts(res, msg)) == _ids(
+        conflicts = server._conflicts(res, msg)
+        assert _ids(conflicts) == _ids(
             g for g in values if g.overlaps_extents(msg.extents)
             and not lcm(msg.mode, g.mode, g.state)), msg
+        if conflicts:
+            absorb, blockers = server._upgrade_set(res, msg, conflicts)
+            want_absorb, want_blockers = _upgrade_oracle(
+                server, msg, conflicts, values)
+            assert (absorb is None) == (want_absorb is None), msg
+            if absorb is not None:
+                assert _ids(absorb) == _ids(want_absorb), msg
+            assert _ids(blockers) == _ids(want_blockers), msg
         assert server._expand(res, msg, msg.mode, msg.extents) == \
             _expand_oracle(server, res, msg.mode, msg.extents), msg
+        assert server._early_grant(res, msg.mode, msg.extents) == (
+            is_write_mode(msg.mode) and any(
+                g.mode is LockMode.NBW and g.state is LockState.CANCELING
+                and g.overlaps_extents(msg.extents) for g in values)), msg
         reply = _Reply()
         server._on_msn_query(MsnQueryMsg("r", msg.extents), reply)
         sns = [g.sn for g in values if is_write_mode(g.mode)
@@ -203,7 +284,7 @@ def test_server_scans_match_brute_force(seed, dlm):
     res.next_sn = 10_000
     model, next_id = {}, 1
     for _ in range(150):
-        next_id = _mutate(rng, res.granted, model, next_id)
+        next_id = _mutate(rng, res.granted, model, next_id, rig.server)
         _check_server_paths(rng, rig.server, res, model)
 
 
@@ -235,7 +316,7 @@ def test_lustre_cap_sees_the_same_lock_count(seed):
     assert rig.server._expand(res, msg, msg.mode, msg.extents) == at_trigger
     next_id = extra + 1
     for _ in range(60):
-        next_id = _mutate(rng, res.granted, model, next_id)
+        next_id = _mutate(rng, res.granted, model, next_id, rig.server)
         _check_server_paths(rng, rig.server, res, model)
 
 

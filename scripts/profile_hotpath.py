@@ -33,6 +33,13 @@ seconds, simulated milliseconds, the lock-table maximum and the kernel
 events.  Host time per round grows with the rounds there (ROADMAP 16a);
 the other three figures are deterministic.
 
+``failover`` is not profiled either: it runs `failover_validated`'s call
+once (16 clients x 64 slot writes, the sequencer killed at 32 ms, the
+online validator on) and prints host seconds, the validator's
+transitions and how many of them ran the full check
+(`LockValidator.full_checks`: the base case of the per-transition
+induction, once per resource and crash epoch on a clean run).
+
 ``--events`` replaces the profile with a count: every kernel event the
 run processes, keyed by event class plus the callback it runs or the
 process it resumes, divided by the number of client reads and writes.
@@ -43,6 +50,7 @@ totals equal the run's `sim.events`.
                                       [--writes N] [--sort tottime]
                                       [--events]
     python scripts/profile_hotpath.py --shape fig17 [--rounds R]
+    python scripts/profile_hotpath.py --shape failover
 """
 
 import argparse
@@ -93,6 +101,24 @@ def print_fig17(rounds: int) -> None:
     print(f"fig17 NBW 64K, 16 clients x {rounds} rounds: {host:.2f} s host, "
           f"{total * 1e3:.1f} sim ms, lock-table max {table_max}, "
           f"{cluster.sim.events_processed} events")
+
+
+def print_failover() -> None:
+    from repro.workloads import SequencerKillConfig, run_sequencer_kill
+
+    config = SequencerKillConfig(dlm="seqdlm", seed=101, clients=16,
+                                 writes_per_client=64, servers=2,
+                                 kill_at=0.032)
+    run_sequencer_kill(SequencerKillConfig(
+        dlm="seqdlm", seed=101, clients=4, writes_per_client=16, servers=2,
+        kill_at=0.006))  # imports and first-call caches
+    t0 = time.perf_counter()
+    result = run_sequencer_kill(config)
+    host = time.perf_counter() - t0
+    validators = result.cluster.validators
+    print(f"failover_validated, 16 clients x 64 writes: {host:.2f} s host, "
+          f"{sum(v.checks for v in validators)} validated transitions, "
+          f"{sum(v.full_checks for v in validators)} full checks")
 
 
 def _name(proc) -> str:
@@ -168,7 +194,7 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--shape", default="strided",
                         choices=("strided", "segmented", "traffic",
-                                 "fig17"),
+                                 "fig17", "failover"),
                         help="which benchmark shape to run")
     parser.add_argument("--writes", type=int, default=320,
                         help="writes per client (default 320, the "
@@ -187,6 +213,9 @@ def main() -> int:
 
     if args.shape == "fig17":
         print_fig17(args.rounds)
+        return 0
+    if args.shape == "failover":
+        print_failover()
         return 0
     if args.events:
         print_events(args.writes, args.shape)

@@ -212,10 +212,15 @@ class LockTable(dict):
 
     ``update`` / ``setdefault`` / ``popitem`` / ``|=`` would bypass the
     index and are rejected.
+
+    **Touched log.**  While :attr:`_touched` is a list (an online validator
+    sets it, :class:`~repro.dlm.validator.LockValidator`), every mutator
+    appends the ids it touches, so the validator re-checks only those.
+    It is None otherwise, and then costs one attribute test per mutation.
     """
 
     __slots__ = ("_grouping", "_groups", "_all", "_entries", "_next_seq",
-                 "_live", "_last")
+                 "_live", "_last", "_touched")
 
     def __init__(self, live: Optional[List[int]] = None, lcm=None):
         super().__init__()
@@ -241,6 +246,9 @@ class LockTable(dict):
         #: :meth:`overlapping`, valid until the next mutation: a blocked
         #: queue head is re-examined each time a request queues behind it.
         self._last: Optional[tuple] = None
+        #: Ids the mutators touched since the log's owner last read it,
+        #: or None when nobody reads it.
+        self._touched: Optional[List[int]] = None
 
     def _group_of(self, mode: LockMode, state: LockState) -> int:
         grouping = self._grouping
@@ -262,6 +270,8 @@ class LockTable(dict):
 
     # -- mutation -----------------------------------------------------------
     def __setitem__(self, lock_id: int, lock) -> None:
+        if self._touched is not None:
+            self._touched.append(lock_id)
         extents = lock.extents
         single = len(extents) == 1
         lo, hi = extents[0] if single else _hull(extents)
@@ -285,6 +295,8 @@ class LockTable(dict):
         super().__setitem__(lock_id, lock)
 
     def __delitem__(self, lock_id: int) -> None:
+        if self._touched is not None:
+            self._touched.append(lock_id)
         super().__delitem__(lock_id)
         self._unindex(self._entries.pop(lock_id))
         self._live[0] -= 1
@@ -300,6 +312,8 @@ class LockTable(dict):
         raise KeyError(lock_id)
 
     def clear(self) -> None:
+        if self._touched is not None:
+            self._touched.extend(self)
         self._live[0] -= len(self)
         super().clear()
         self._entries.clear()
@@ -477,6 +491,38 @@ class LockTable(dict):
                     return f"by-end list unsorted at lock {lock.lock_id}"
                 prev = (hi, seq)
         return None
+
+    def filed(self, lock_id: int) -> Optional[Tuple[tuple, tuple]]:
+        """The ``(by_start, by_end)`` rows of ``lock_id`` when that one
+        lock is filed as :meth:`index_fault` demands: its row names the
+        lock the mapping holds, under the hull of its extents and in the
+        group of its current mode and state, and both lists of that group
+        hold its rows where a bisect finds them.  None otherwise, or when
+        the mapping does not hold ``lock_id``.  O(log n)."""
+        lock = self.get(lock_id)
+        row = self._entries.get(lock_id)
+        if lock is None or row is None or row[3] is not lock or \
+                self._entries.get(lock.lock_id) is not row:
+            return None
+        lo, seq, hi, _lock, single, gid = row
+        extents = lock.extents
+        if len(extents) == 1:
+            s, e = extents[0]
+            if not (single and s == lo and e == hi):
+                return None
+        elif single or _hull(extents) != (lo, hi):
+            return None
+        if self._group_of(lock.mode, lock.state) != gid:
+            return None
+        by_start, by_end = self._groups[gid]
+        i = bisect_left(by_start, (lo, seq))
+        j = bisect_left(by_end, (hi, seq))
+        if i == len(by_start) or by_start[i] is not row or j == len(by_end):
+            return None
+        end = by_end[j]
+        if end[3] is not lock or end[:3] != (hi, seq, lo):
+            return None
+        return row, end
 
 
 @dataclass
@@ -983,10 +1029,11 @@ class LockServer:
 
         Floors first — no grant issued after this instant can reuse a
         transferred SN — then the locks (via the recovery install path:
-        they are *not* new grants, so the validator's before-set already
-        contains them), then the in-flight revocation entries, whose
-        watchdogs re-arm here.  The reply acks the whole install; the
-        sender retries until it lands (dedup absorbs duplicates)."""
+        they are *not* new grants, and the validator counts as new only
+        the locks filed during a ``_process``), then the in-flight
+        revocation entries, whose watchdogs re-arm here.  The reply acks
+        the whole install; the sender retries until it lands (dedup
+        absorbs duplicates)."""
         for rid, floor in msg.floors:
             self.bump_next_sn(rid, floor)
         revoke_ids = {entry[0] for entry in msg.revokes}

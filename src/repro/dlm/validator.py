@@ -63,20 +63,18 @@ I10. **Table/index coherence** — the interval index of a resource's
     :class:`~repro.dlm.server.LockTable` holds exactly the locks in the
     mapping, each under the hull of its current extents and in the
     group of its current ``(mode, state)``, in the mapping's insertion
-    order (one O(n) pass,
-    :meth:`~repro.dlm.server.LockTable.index_fault`).  A conflict scan
-    reads only the groups that can block the request, so a mode or
+    order (:meth:`~repro.dlm.server.LockTable.index_fault`).  A conflict
+    scan reads only the groups that can block the request, so a mode or
     state changed in place without re-filing the lock would hide a
-    conflict (or invent one).  The server answers its conflict,
-    expansion and mSN questions from that index; I1/I3/I4 above
-    deliberately do *not* — they read ``granted`` as a
-    plain mapping (``values()`` / ``items()``) and rebuild what they
-    need from scratch on every transition, so that they stay an
+    conflict (or invent one).  :meth:`LockValidator.validate_resource`
+    checks I1/I3/I4 without the index — it reads ``granted`` as a plain
+    mapping and rebuilds what it needs from scratch — so it stays an
     independent oracle, and I10 is what ties the two views together: an
     index that lost or kept a stale lock is caught here even when the
     locks that remain visible to the server still look compatible.
 
-**Cost of one transition.**  The LCM depends only on ``(request mode,
+**The full check** (:meth:`LockValidator.validate_resource`) is
+stateless and complete.  The LCM depends only on ``(request mode,
 granted mode, granted state)``, so the granted locks are bucketed into
 at most eight ``(mode, state)`` classes and the LCM is asked once per
 pair of *classes*.  A pair of classes that is compatible in either
@@ -86,12 +84,53 @@ for I3, every pair of GRANTED write classes whatever the LCM says — are
 searched for two locks sharing a byte by a sweep over the locks sorted
 by the start of their hull, confirmed exactly with
 ``ServerLock.overlaps_extents`` (:func:`_overlapping_pair`).  That is
-O(n log n) plus one exact test per pair whose hulls overlap, where the
-pair scan it replaced made n²/2 exact tests: 29.8M → 0.07M
-``overlaps_extents`` calls on the bench's ``failover_validated``
-(≤ 167 locks, 2317 transitions).  The check is stateless and complete
-on every transition — no delta tracking, no sampling; the pair scan
-survives as the reference of ``tests/property/test_validator_oracle.py``.
+O(n log n) per call; the pair scan it replaced survives as the reference
+of ``tests/property/test_validator_oracle.py``.
+
+**Cost of one transition.**  After a server transition the validator
+re-checks only the locks the transition touched, by induction over the
+transitions of a resource:
+
+* *Base case.*  The full check runs on a resource's first transition,
+  after a crash-epoch roll, after an eviction, and whenever the net
+  below trips.  When it passes, the validator keeps a *shadow* of the
+  table: per lock its index row (the object itself) and its *face*, the
+  fields the full check reads (``lock_id``, mode, state, extents, SN,
+  holder, incarnation), plus copies of the index's group lists.  From
+  then on the table logs the ids its mutators touch
+  (:attr:`~repro.dlm.server.LockTable._touched`).
+* *Step.*  The shadow is brought up to date for the logged ids only,
+  each one checked where it is filed (:meth:`LockTable.filed`, I10 for
+  one lock).  Then the **net** compares the whole live table against
+  the shadow in C-level passes — ids in order, the identity of every
+  lock and every index row, every face, every group list element by
+  element — with no Python loop over an untouched lock.  A lock or a
+  row changed behind the table's back (an in-place edit without
+  re-filing, a dict-level insert, a lost or stray row) is a mismatch,
+  and a mismatch runs the full check, which gives the verdict.  So
+  every lock the log did not name is the one a passed check saw, with
+  the same face, filed the same way.  The log only picks the locks to
+  re-derive; nothing rests on its being complete.
+* *Per touched lock* (Python level, O(log n) plus the locks it
+  overlaps): I1 and I3 against ``granted.overlapping(lock.extents)``
+  restricted to the groups that may hold an illegal partner; I2's
+  static bound, and ``next_sn`` never decreasing; I5 when the fence
+  floors are unchanged since the last check (else the full check); I6.
+  I4 asks the index for a lock blocking the queue head.
+
+Reading the index for I1/I3/I4 is sound only because the net and the
+per-lock checks have certified it (I10) in the same transition: the
+index then returns exactly what a scan of the mapping would.  Any doubt
+— a failed per-lock check, a changed fence, a lowered ``next_sn``, a
+swapped LCM — defers to the full check, so a transition raises or
+passes, with the same ``[Ix]`` tag, exactly as the full check would have
+(``tests/property/test_validator_oracle.py`` pins that at every step of
+seeded traces with injected corruptions).  Per transition that is
+O(touched · log n) in Python plus a few C passes, where the full check
+was three Python passes over the table and a sort: on the bench's
+``failover_validated`` (about 100 locks, 2317 transitions) the full
+check runs 3 times.  :attr:`LockValidator.full_checks`
+counts them.  There is no knob, no sampling and no deferred sweep.
 
 The validator is pure observation — it never mutates server state — and
 is cheap enough to leave on in every integration test.  Violations raise
@@ -101,12 +140,14 @@ transition instead of a downstream data corruption.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heappop, heappush
+from operator import attrgetter, eq, is_
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.dlm.extent import span
 from repro.dlm.lcm import CompatibilityFn
-from repro.dlm.server import LockServer, ServerLock, _Resource
+from repro.dlm.server import LockServer, LockTable, ServerLock, _Resource
 from repro.dlm.types import LockMode, LockState, is_write_mode
 
 __all__ = ["LockInvariantViolation", "LockValidator", "MutexLedger",
@@ -211,6 +252,128 @@ def _overlapping_pair(side_a: Sequence[ServerLock],
     return None
 
 
+#: A lock's *face*: every field of it that the full check reads — the
+#: holder and its incarnation only matter (to I5) under a fence floor.
+_FACE = attrgetter("lock_id", "mode", "state", "extents", "sn")
+_FENCED_FACE = attrgetter("lock_id", "mode", "state", "extents", "sn",
+                          "client_name", "incarnation")
+
+
+def _same(live: list, shadow: list) -> bool:
+    """Whether two lists hold the very same objects in the same order
+    (a C-level pass; ``==`` would fall back on field-wise dataclass
+    equality for a lock that was swapped for a copy)."""
+    return len(live) == len(shadow) and all(map(is_, live, shadow))
+
+
+def _file(rows: list, row: tuple, key: tuple) -> bool:
+    """Insert ``row`` into the strictly sorted ``rows`` at ``key`` (its
+    first two fields); False, leaving ``rows`` as it was, when a row
+    with that key is already there."""
+    i = bisect_left(rows, key)
+    if i < len(rows) and rows[i][0] == key[0] and rows[i][1] == key[1]:
+        return False
+    rows.insert(i, row)
+    return True
+
+
+class _Shadow:
+    """One resource's lock table as the validator last certified it.
+
+    ``rows``, ``locks`` and ``faces`` map each ``lock_id`` to the index's
+    row object, the lock object and the lock's face, in the table's
+    order; ``starts`` / ``ends`` copy the index's per-group lists, the
+    same row objects in the same order.  ``touched`` is the list the
+    table logs its mutations into."""
+
+    __slots__ = ("table", "touched", "rows", "locks", "faces", "face",
+                 "starts", "ends", "next_sn", "fence", "lcm")
+
+    def __init__(self, res: _Resource, fence: Dict[str, int], lcm):
+        table = res.granted
+        entries = table._entries
+        self.table = table
+        self.touched = table._touched = []
+        self.rows = {lock_id: entries[lock_id] for lock_id in table}
+        self.locks = dict(table)
+        #: A fence change runs the full check, so the face fits the fence.
+        self.face = _FENCED_FACE if fence else _FACE
+        self.faces = dict(zip(table, map(self.face, table.values())))
+        self.starts = [list(by_start) for by_start, _ in table._groups]
+        self.ends = [list(by_end) for _, by_end in table._groups]
+        self.next_sn = res.next_sn
+        self.fence = dict(fence)
+        self.lcm = lcm
+
+    def update(self) -> Optional[List[ServerLock]]:
+        """Bring the shadow up to date for the logged ids; returns the
+        touched locks the table still holds, or None when one of them is
+        not filed right or the table's order breaks (then the shadow is
+        unusable)."""
+        table, rows, locks, faces = \
+            self.table, self.rows, self.locks, self.faces
+        starts, ends, face = self.starts, self.ends, self.face
+        present: List[ServerLock] = []
+        appended = []
+        for lock_id in dict.fromkeys(self.touched):
+            old = rows.get(lock_id)
+            if old is not None:
+                # Unfile the old rows: by induction they sit at their keys.
+                del starts[old[5]][bisect_left(starts[old[5]],
+                                               (old[0], old[1]))]
+                del ends[old[5]][bisect_left(ends[old[5]], (old[2], old[1]))]
+            filed = table.filed(lock_id)
+            if filed is None:
+                if lock_id in table or lock_id in table._entries:
+                    return None
+                if old is not None:
+                    del rows[lock_id], locks[lock_id], faces[lock_id]
+                continue
+            row, end = filed
+            if not (_file(starts[row[5]], row, (row[0], row[1]))
+                    and _file(ends[row[5]], end, (end[0], end[1]))):
+                return None
+            lock = row[3]
+            present.append(lock)
+            if old is not None and old[1] == row[1]:
+                rows[lock_id] = row             # keeps its place
+                locks[lock_id] = lock
+                faces[lock_id] = face(lock)
+                continue
+            if old is not None:
+                del rows[lock_id], locks[lock_id], faces[lock_id]
+            appended.append((row[1], lock_id, row))
+        if appended:
+            # New ids go last, in insertion order, above every seq left.
+            appended.sort()
+            last = next(reversed(rows.values()))[1] if rows else -1
+            for seq, lock_id, row in appended:
+                if seq <= last:
+                    return None
+                last = seq
+                rows[lock_id] = row
+                locks[lock_id] = row[3]
+                faces[lock_id] = face(row[3])
+        return present
+
+    def matches(self) -> bool:
+        """The net: whether the live table is, lock for lock and row for
+        row, the one the shadow holds — C-level passes only."""
+        table, rows = self.table, self.rows
+        entries, groups = table._entries, table._groups
+        ids = list(rows)
+        return (len(table) == len(ids) == len(entries)
+                and list(table) == ids and list(entries) == ids
+                and all(map(is_, entries.values(), rows.values()))
+                and all(map(is_, table.values(), self.locks.values()))
+                and all(map(eq, map(self.face, table.values()),
+                            self.faces.values()))
+                and len(groups) == len(self.starts)
+                and all(_same(by_start, start) and _same(by_end, end)
+                        for (by_start, by_end), start, end
+                        in zip(groups, self.starts, self.ends)))
+
+
 class LockValidator:
     """Wraps a lock server's ``_process`` to validate after every step."""
 
@@ -222,6 +385,9 @@ class LockValidator:
         self.shard_ledger = shard_ledger
         self.lcm: CompatibilityFn = server.config.lcm
         self.checks = 0
+        #: Transitions that ran the full check (the base case of the
+        #: per-transition induction; see the module docstring).
+        self.full_checks = 0
         #: Evictions witnessed first-hand; the metrics cross-check test
         #: compares this against ``stats.evictions`` and the registry.
         self.evictions_observed = 0
@@ -229,6 +395,11 @@ class LockValidator:
         self._seen_sns: Dict[Hashable, Set[int]] = {}
         self._seen_lock_ids: Dict[Hashable, Set[int]] = {}
         self._evicted_grants: Set[Tuple[Hashable, int]] = set()
+        #: resource id -> what the last passed check saw of its table.
+        self._shadows: Dict[Hashable, _Shadow] = {}
+        #: ``(lcm, grouping, partners, blockers)`` for the last table
+        #: grouping seen (see :meth:`_groups_for`).
+        self._groups_memo: Optional[tuple] = None
         self._epoch_seen = server._epoch
         self._orig_process = server._process
         server._process = self._checked_process
@@ -239,6 +410,15 @@ class LockValidator:
     def detach(self) -> None:
         self.server._process = self._orig_process
         self.server._evict = self._orig_evict
+        self._drop_shadows()
+
+    def _drop_shadows(self) -> None:
+        """Forget every shadow: each resource's next transition runs the
+        full check."""
+        for shadow in self._shadows.values():
+            if shadow.table._touched is shadow.touched:
+                shadow.table._touched = None
+        self._shadows.clear()
 
     def _maybe_roll_epoch(self) -> None:
         if self.server._epoch != self._epoch_seen:
@@ -249,9 +429,12 @@ class LockValidator:
             self._seen_sns.clear()
             self._seen_lock_ids.clear()
             self._evicted_grants.clear()
+            self._drop_shadows()
 
     def _checked_evict(self, client: str, reason: str) -> None:
         self._maybe_roll_epoch()
+        # The fence floors and the I6 history change under every table.
+        self._drop_shadows()
         doomed = [(res.resource_id, lock_id)
                   for res in self.server._resources.values()
                   for lock_id, g in res.granted.items()
@@ -277,18 +460,40 @@ class LockValidator:
 
     def _checked_process(self, res: _Resource) -> None:
         self._maybe_roll_epoch()
-        before_ids = set(res.granted.keys())
+        table = res.granted
+        first_new = table._next_seq
         self._orig_process(res)
         self.checks += 1
-        self._track_new_grants(res, before_ids)
-        self.validate_resource(res)
+        self._note_grants(res, self._filed_since(table, first_new))
+        self._check_transition(res)
+
+    @staticmethod
+    def _filed_since(table: LockTable, seq: int
+                     ) -> List[Tuple[int, ServerLock]]:
+        """``(lock_id, lock)`` of the locks the table filed afresh at or
+        after insertion number ``seq``, oldest first: the new grants of
+        a transition, read off the end of the index instead of diffing
+        the whole table."""
+        new = []
+        for lock_id, row in reversed(table._entries.items()):
+            if row[1] < seq:
+                break
+            lock = table.get(lock_id)
+            if lock is not None:
+                new.append((lock_id, lock))
+        new.reverse()
+        return new
 
     def _track_new_grants(self, res: _Resource, before_ids: Set[int]) -> None:
+        self._note_grants(res, [(lock_id, lock)
+                                for lock_id, lock in res.granted.items()
+                                if lock_id not in before_ids])
+
+    def _note_grants(self, res: _Resource,
+                     grants: List[Tuple[int, ServerLock]]) -> None:
         rid = res.resource_id
         seen = self._seen_sns.setdefault(rid, set())
-        for lock_id, lock in res.granted.items():
-            if lock_id in before_ids:
-                continue
+        for lock_id, lock in grants:
             # I8 applies to every new grant, read or write: a non-owner
             # must never issue anything.
             if self.shard_ledger is not None:
@@ -312,6 +517,106 @@ class LockValidator:
                 self.ledger.note_grant(rid, lock.sn,
                                        self.server.node.name,
                                        self.server._epoch)
+
+    # ------------------------------------------------- one transition
+    def _check_transition(self, res: _Resource) -> None:
+        """Validate ``res`` after a transition: the touched locks against
+        a certified shadow, or the full check when that cannot vouch for
+        the rest (see the module docstring)."""
+        rid = res.resource_id
+        shadow = self._shadows.pop(rid, None)
+        if shadow is not None and self._certify(res, shadow):
+            shadow.touched.clear()
+            shadow.next_sn = res.next_sn
+            self._shadows[rid] = shadow
+            return
+        if shadow is not None and shadow.table._touched is shadow.touched:
+            shadow.table._touched = None
+        self.full_checks += 1
+        self.validate_resource(res)
+        self._shadows[rid] = _Shadow(res, self.server._fence, self.lcm)
+
+    def _certify(self, res: _Resource, shadow: _Shadow) -> bool:
+        """Whether the transition provably left ``res`` valid: True only
+        when the full check would pass.  False is no verdict, only "ask
+        the full check"; ``shadow`` is unusable afterwards."""
+        table = res.granted
+        fence = self.server._fence
+        if (shadow.table is not table or shadow.lcm is not self.lcm
+                or res.next_sn < shadow.next_sn or fence != shadow.fence):
+            return False
+        present = shadow.update()
+        if present is None or not shadow.matches():
+            return False
+        # The index is certified (I10): I1/I3/I4 may read it.
+        lcm = self.lcm
+        partners, blockers = self._groups_for(table)
+        rid = res.resource_id
+        next_sn = res.next_sn
+        evicted = self._evicted_grants
+        memo = table._last
+        try:
+            for lock in present:
+                mode, state = lock.mode, lock.state
+                write = is_write_mode(mode)
+                if write and lock.sn >= next_sn:
+                    return False                                  # I2
+                if fence and \
+                        lock.incarnation < fence.get(lock.client_name, 0):
+                    return False                                  # I5
+                if evicted and (rid, lock.lock_id) in evicted:
+                    return False                                  # I6
+                head = write and state is LockState.GRANTED
+                for other in table.overlapping(
+                        lock.extents, partners[mode._value_][state._value_]):
+                    if other is lock:
+                        continue
+                    if not (lcm(mode, other.mode, other.state)
+                            or lcm(other.mode, mode, state)):
+                        return False                              # I1
+                    if head and other.state is LockState.GRANTED and \
+                            is_write_mode(other.mode):
+                        return False                              # I3
+            holding = getattr(self.server, "recovery_hold_until", 0.0) > \
+                self.server.sim.now
+            if res.queue and not holding:
+                msg = res.queue[0].msg
+                if not any(not lcm(msg.mode, g.mode, g.state)
+                           for g in table.overlapping(
+                               msg.extents, blockers[msg.mode._value_])):
+                    return False                                  # I4
+        finally:
+            table._last = memo      # the server's query memo, untouched
+        return True
+
+    def _groups_for(self, table: LockTable) -> tuple:
+        """For ``table``'s grouping, under this validator's LCM:
+        ``partners[mode value][state value]``, the groups that may hold a
+        lock illegal next to one of that class (I1 either way round, I3
+        between GRANTED writes), and ``blockers[mode value]``, the groups
+        that may hold a lock blocking a request at that mode (I4)."""
+        grouping = table._grouping
+        memo = self._groups_memo
+        if memo is not None and memo[0] is self.lcm and memo[1] is grouping:
+            return memo[2], memo[3]
+        lcm = self.lcm
+        classes = [(m, s) for m in LockMode for s in LockState]
+
+        def gid(m, s):
+            return 0 if grouping is None else grouping.of[m.value][s.value]
+
+        partners: Dict[str, Dict[str, Tuple[int, ...]]] = {}
+        for m, s in classes:
+            partners.setdefault(m.value, {})[s.value] = tuple(sorted({
+                gid(m2, s2) for m2, s2 in classes
+                if not (lcm(m, m2, s2) or lcm(m2, m, s))
+                or (s is s2 is LockState.GRANTED
+                    and is_write_mode(m) and is_write_mode(m2))}))
+        blockers = {m.value: tuple(sorted({gid(m2, s2) for m2, s2 in classes
+                                           if not lcm(m, m2, s2)}))
+                    for m in LockMode}
+        self._groups_memo = (lcm, grouping, partners, blockers)
+        return partners, blockers
 
     # ----------------------------------------------------------- validation
     def validate_resource(self, res: _Resource) -> None:

@@ -15,8 +15,9 @@ metadata size read (§III-B2).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Hashable, List, Optional, Tuple
+from typing import Deque, Dict, Generator, Hashable, List, Optional, Tuple
 
 from repro.dlm.client import ClientLock, LockClient
 from repro.dlm.config import select_mode
@@ -124,7 +125,9 @@ class CcpfsClient:
         #: In-flight voluntary-flush refcounts per stripe key; lock cancels
         #: wait these out so a release never precedes data durability.
         self._inflight: Dict[Hashable, int] = {}
-        self._inflight_waiters: Dict[Hashable, list] = {}
+        #: Per stripe key, the callers waiting for the flush gate, in
+        #: arrival order.
+        self._inflight_waiters: Dict[Hashable, Deque] = {}
         lock_client.set_flush_hooks(self._flush_for_lock, self._lock_dirty)
         lock_client.discard_fn = self._discard_for_locks
         self._daemon = None
@@ -502,13 +505,18 @@ class CcpfsClient:
 
     def _flush_key(self, key: Hashable, extents) -> Generator:
         # Wait out any in-flight voluntary flush of the same stripe so a
-        # lock release never overtakes its data.
+        # lock release never overtakes its data.  Waiters take turns in
+        # arrival order: a finished flush wakes the first one only.
+        turn = False
         while self._inflight.get(key, 0) > 0:
-            ev = self.sim.event()
-            self._inflight_waiters.setdefault(key, []).append(ev)
-            yield ev
+            # A caller whose turn came but found the gate taken again
+            # (a newcomer got there first) keeps its place at the head.
+            yield from self._wait_flush_turn(key, first=turn)
+            turn = True
         blocks = self.cache.extract_dirty(key, tuple(extents))
         if not blocks:
+            if turn:
+                self._pass_flush_turn(key)
             return
         self._inflight[key] = self._inflight.get(key, 0) + 1
         try:
@@ -516,8 +524,34 @@ class CcpfsClient:
         finally:
             self._inflight[key] -= 1
             if self._inflight[key] == 0:
-                for ev in self._inflight_waiters.pop(key, []):
-                    ev.succeed()
+                self._pass_flush_turn(key)
+
+    def _wait_flush_turn(self, key: Hashable, first: bool) -> Generator:
+        """Park in ``key``'s flush-gate queue until handed the turn."""
+        ev = self.sim.event()
+        waiters = self._inflight_waiters.setdefault(key, deque())
+        if first:
+            waiters.appendleft(ev)
+        else:
+            waiters.append(ev)
+        try:
+            yield ev
+        except BaseException:
+            # Interrupted (a killed client's application): give up the
+            # place, or hand on the turn if it had already come.
+            if ev.triggered:
+                self._pass_flush_turn(key)
+            else:
+                waiters.remove(ev)
+            raise
+
+    def _pass_flush_turn(self, key: Hashable) -> None:
+        """Wake the first waiter of ``key``'s flush gate, if any."""
+        waiters = self._inflight_waiters.get(key)
+        if waiters:
+            waiters.popleft().succeed()
+            if not waiters:
+                del self._inflight_waiters[key]
 
     def _send_blocks(self, key: Hashable, blocks) -> Generator:
         msg = IoWriteMsg(key, [WireBlock(b.offset, b.length, b.sn, b.data)

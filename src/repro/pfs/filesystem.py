@@ -332,6 +332,11 @@ class Cluster:
         # Data-server nodes: device + IO service + DLM service.
         from repro.dlm.server import LockServer  # local import: layering
         self.server_nodes: List[Node] = []
+        #: ``stripe key -> stable_hash(key)``: every IO RPC and lock-server
+        #: lookup places its key, and the FNV-1a loop runs in Python.  The
+        #: hash is memoised, not the index, so a changed server list can
+        #: never be served a stale placement.
+        self._placement_hash: Dict[Hashable, int] = {}
         self.data_servers: List[DataServer] = []
         self.lock_servers: List[LockServer] = []
         #: Per-index node currently running the stripe's DLM service.
@@ -565,7 +570,10 @@ class Cluster:
 
     # ------------------------------------------------------------- placement
     def server_index_for(self, stripe_key: Hashable) -> int:
-        return _stable_hash(stripe_key) % len(self.server_nodes)
+        h = self._placement_hash.get(stripe_key)
+        if h is None:
+            h = self._placement_hash[stripe_key] = _stable_hash(stripe_key)
+        return h % len(self.server_nodes)
 
     def server_node_for(self, stripe_key: Hashable) -> Node:
         return self.server_nodes[self.server_index_for(stripe_key)]

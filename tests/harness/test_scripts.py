@@ -42,6 +42,16 @@ def test_profile_hotpath_runs(monkeypatch, capsys):
     assert "us per write" in out  # the 20-vs-N scaling figure
 
 
+def test_profile_hotpath_failover_shape_counts_full_checks(monkeypatch,
+                                                           capsys):
+    code = run_script("scripts/profile_hotpath.py",
+                      ["--shape", "failover"], monkeypatch)
+    assert code == 0
+    out = capsys.readouterr().out
+    # A clean run: the full check ran once per resource and epoch.
+    assert "2317 validated transitions, 3 full checks" in out, out
+
+
 def test_profile_hotpath_events_mode_accounts_for_every_event(monkeypatch,
                                                              capsys):
     code = run_script("scripts/profile_hotpath.py",

@@ -196,3 +196,41 @@ def test_revoke_ack_without_refiling_is_killed_by_i10():
         with pytest.raises(LockInvariantViolation, match=r"\[I10\]"):
             run(rig, *_two_writers(rig))
     assert server.stats.revocations_sent == 1
+
+
+def test_unlogged_revoke_ack_without_refiling_is_killed_by_i10():
+    """The same flip in place, while the table has silently stopped
+    logging what its mutators touch: the validator hears of no touched
+    lock at all, so only its net — the whole table compared against what
+    the last passed check saw — can notice, and the full check it then
+    runs names the incoherent index."""
+    rig = Rig(dlm="seqdlm", clients=2)
+    validator = LockValidator(rig.server)
+    server = rig.server
+    real_setitem, real_delitem = LockTable.__setitem__, LockTable.__delitem__
+
+    def unlogged(mutator):
+        def mutate(table, *args):
+            log, table._touched = table._touched, None
+            try:
+                mutator(table, *args)
+            finally:
+                table._touched = log
+        return mutate
+
+    def ack_without_refiling(msg):
+        res = server._res(msg.resource_id)
+        lock = res.granted.get(msg.lock_id)
+        if lock is not None:
+            lock.state = LockState.CANCELING
+            server._process(res)
+
+    with patch.object(LockTable, "__setitem__", unlogged(real_setitem)), \
+            patch.object(LockTable, "__delitem__", unlogged(real_delitem)), \
+            patch.object(server, "_on_revoke_ack", ack_without_refiling):
+        with pytest.raises(LockInvariantViolation, match=r"\[I10\]"):
+            run(rig, *_two_writers(rig))
+    assert server.stats.revocations_sent == 1
+    # The blocked request in between changed nothing and passed on the
+    # net alone; the flip made the net trip.
+    assert validator.checks == 3 and validator.full_checks == 2

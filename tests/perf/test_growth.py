@@ -3,13 +3,19 @@
 Counts only, no timing: a count repeats exactly on any host.
 """
 
+import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import repro.dlm.server as server_module
+import repro.dlm.validator as validator_module
 from repro.dlm import LockMode, LockState
+from repro.dlm.config import ExpansionPolicy
 from repro.dlm.extent import EOF
 from repro.dlm.messages import LockRequestMsg, RevokeAckMsg
 from repro.dlm.server import LockTable, ServerLock
+from repro.dlm.validator import LockValidator
+from repro.harness.experiments import fig17_cell
 from tests.dlm.test_protocol import Rig
 from tests.property.test_lock_index import _Reply
 
@@ -75,3 +81,74 @@ def test_rows_examined_per_request_do_not_grow_with_the_canceling_chain():
     assert small_early == large_early == 1
     assert large == small, (small, large)
     assert small <= 8
+
+
+def _validator_lines(table_size: int) -> int:
+    """Python lines the validator runs for one transition on a table of
+    ``table_size`` CANCELING NBW locks on disjoint slots: a request above
+    all of them, granted at once (no range expansion, so the next one
+    is granted too).  Lines of ``repro/dlm/validator.py``
+    only, counted with a trace function (C-level work, such as the net's
+    passes over the whole table, runs no line)."""
+    rig = Rig(dlm="seqdlm", clients=1, expansion=ExpansionPolicy.NONE)
+    server = rig.server
+    validator = LockValidator(server)
+    res = server._res("r")
+    res.next_sn = table_size + 1
+    for slot in range(1, table_size + 1):
+        lock_id = 10_000 + slot         # clear of the server's own ids
+        res.granted[lock_id] = ServerLock(
+            lock_id, "r", "client0", NBW, ((slot * GRID, (slot + 1) * GRID),),
+            sn=slot, state=LockState.CANCELING, revoke_sent=True)
+    server._process(res)                # the base case: the full check
+    source = str(Path(validator_module.__file__))
+    lines = [0]
+
+    def tracer(frame, event, _arg):
+        if frame.f_code.co_filename != source:
+            return None
+        if event == "line":
+            lines[0] += 1
+        return tracer
+
+    # Two grants above the table; the second is counted (the first also
+    # sets up the validator's per-LCM group tables).
+    for k in (2, 4):
+        at = (table_size + k) * GRID
+        request = LockRequestMsg("r", NBW, ((at, at + GRID),), "client0")
+        reply = _Reply()
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            lines[0] = 0
+            server._on_lock_request(request, reply)
+        finally:
+            sys.settrace(previous)
+        assert reply.value is not None
+    assert len(res.granted) == table_size + 2
+    assert validator.full_checks == 1   # both transitions incremental
+    return lines[0]
+
+
+def test_validator_work_per_transition_does_not_grow_with_the_table():
+    """After its first, full check of a resource the validator re-checks
+    only the locks a transition touched; the rest of the table is
+    compared against its shadow at C level.  Eight times the locks cost
+    the same Python lines."""
+    small, large = _validator_lines(64), _validator_lines(512)
+    assert large == small, (small, large)
+
+
+def _events_per_write(rounds: int) -> float:
+    cluster, _total = fig17_cell(NBW, 64 * 1024, 16, rounds)
+    return cluster.sim.events_processed / (16 * rounds)
+
+
+def test_fig17_events_per_write_do_not_grow_with_the_rounds():
+    """One Fig. 17 NBW cell (16 clients taking turns on one 64 KiB
+    extent): kernel events per write stay flat as the rounds double.
+    When a stripe's last in-flight flush finished, the flush gate used
+    to wake every parked cancel, and all but one parked again — a cost
+    per write that grew with the CANCELING backlog (ROADMAP 16a)."""
+    ratio = _events_per_write(50) / _events_per_write(25)
+    assert 0.9 <= ratio <= 1.1, ratio

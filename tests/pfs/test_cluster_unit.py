@@ -101,3 +101,64 @@ def test_dlm_config_object_passthrough():
                                     start_cleaner=False))
     assert cluster.dlm_config is cfg
     assert not cluster.lock_servers[0].config.early_revocation
+
+
+def test_placement_hash_is_computed_once_per_key():
+    """The FNV-1a placement hash is memoised per key; the server index
+    is still taken modulo the current server list on every call."""
+    import repro.pfs.filesystem as filesystem
+    from repro.dlm.sharding import stable_hash
+
+    cluster = small(num_data_servers=3)
+    calls = []
+
+    def counting(key):
+        calls.append(key)
+        return stable_hash(key)
+
+    keys = [(fid, s) for fid in (1, 2) for s in range(4)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filesystem, "_stable_hash", counting)
+        for _ in range(3):
+            assert [cluster.server_index_for(k) for k in keys] == \
+                [stable_hash(k) % 3 for k in keys]
+        cluster.server_nodes.pop()      # the index follows the list
+        assert [cluster.server_index_for(k) for k in keys] == \
+            [stable_hash(k) % 2 for k in keys]
+    assert calls == keys
+
+
+def test_flush_gate_hands_the_turn_on_in_arrival_order():
+    """Callers parked behind a stripe's in-flight flush take turns in
+    arrival order, one wake-up each: a caller that finds nothing to
+    flush passes the turn on, and an interrupted one gives up its place,
+    or hands on the turn if it had already come."""
+    from repro.sim.core import Interrupt
+
+    cluster = small()
+    client, sim = cluster.clients[0], cluster.sim
+    key = (1, 0)
+    client._inflight[key] = 1           # a flush of the stripe in flight
+    done = []
+
+    def caller(name):
+        try:
+            yield from client._flush_key(key, ((0, 4096),))
+        except Interrupt:
+            done.append(name + " interrupted")
+            return
+        done.append(name)
+
+    procs = {name: sim.spawn(caller(name)) for name in "axbc"}
+    sim.run(until=1e-6)
+    assert len(client._inflight_waiters[key]) == 4 and not done
+    procs["x"].interrupt("killed")      # still waiting: leaves the queue
+    sim.run(until=2e-6)
+    assert done == ["x interrupted"]
+    assert len(client._inflight_waiters[key]) == 3
+    client._inflight[key] = 0           # the flush completes: a's turn,
+    client._pass_flush_turn(key)
+    procs["a"].interrupt("killed")      # which a hands on, killed
+    sim.run(until=3e-6)
+    assert done == ["x interrupted", "a interrupted", "b", "c"]
+    assert key not in client._inflight_waiters

@@ -78,6 +78,11 @@ def assert_failover_clean(result) -> None:
     assert cluster.sn_ledger is not None
     assert sum(v.checks for v in cluster.validators) > 0
     for v in cluster.validators:
+        # Each transition was checked on the locks it touched: the full
+        # check ran only as the base case, once per resource and epoch.
+        server = v.server
+        assert v.full_checks <= len(server._resources) + server._epoch, \
+            (v.full_checks, v.checks)
         v.validate_all()
 
 

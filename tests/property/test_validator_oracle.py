@@ -15,14 +15,17 @@ of ``test_lock_index``), under the two real LCMs and two broken ones
 that make I3 reachable on its own.
 """
 
+import copy
 import random
 import re
+from collections import Counter, deque
 
 import pytest
 
 from repro.dlm import LockMode, LockState
 from repro.dlm.extent import EOF
 from repro.dlm.lcm import seqdlm_compatible, traditional_compatible
+from repro.dlm.messages import LockRequestMsg, ReleaseMsg
 from repro.dlm.server import ServerLock
 from repro.dlm.types import is_write_mode
 from repro.dlm.validator import LockInvariantViolation, LockValidator
@@ -34,7 +37,10 @@ from tests.property.test_lock_index import (
     SPACE,
     STATES,
     _extents,
+    _flip,
     _lock,
+    _mutate,
+    _Reply,
 )
 
 NBW = LockMode.NBW
@@ -178,3 +184,228 @@ def test_sweep_agrees_with_the_pair_scan(seed, lcm_name):
     elif lcm_name == "early-over-granted":
         # Both tags in one stream: I1 must keep precedence over I3.
         assert seen["I3"] >= 3, seen
+
+
+# --------------------------------- the per-transition path vs the full check
+#: Holders of the locks ``_lock`` draws; requests come from them too.
+HOLDERS = ("c0", "c1", "c2", "c3")
+#: Ids of the locks planted behind the server's back start here, far
+#: above the ones its own counter hands out.
+PLANTED = 100_000
+CORRUPTIONS = ("mode", "state", "extents", "dict-insert", "dict-delete",
+               "dict-replace", "dict-copy", "dict-rekey", "row-copy",
+               "drop-row", "dup-row", "move-row", "seq-rewind", "sn-rewind",
+               "fence", "unlogged", "log-off")
+
+
+def _tag(call):
+    """Run ``call``; the ``[Ix]`` tag of the violation it raised, or
+    None."""
+    try:
+        call()
+    except LockInvariantViolation as exc:
+        return re.match(r"\[(I\d+)\]", str(exc)).group(1)
+    return None
+
+
+def _rows(table):
+    """Every index list of ``table`` that holds at least one row."""
+    return [rows for by_start, by_end in table._groups
+            for rows in (by_start, by_end) if rows]
+
+
+def _corrupt(rng, kind, server, res, next_id):
+    """Damage ``res``'s table behind its back — the lock a corruption
+    picks was not touched since the last transition — and return a
+    callable that puts it right again."""
+    table = res.granted
+    snapshot = list(dict.items(table))
+    victim = table[rng.choice(list(table))]
+    face = dict(vars(victim))
+    fence = dict(server._fence)
+    next_sn = res.next_sn
+
+    def repair():
+        vars(victim).update(face)
+        server._fence.clear()
+        server._fence.update(fence)
+        res.next_sn = next_sn
+        table.clear()
+        for lock_id, lock in snapshot:
+            table[lock_id] = lock
+
+    if kind == "mode":
+        victim.mode = rng.choice([m for m in MODES if m is not victim.mode])
+    elif kind == "state":
+        victim.state = G if victim.state is C else C
+    elif kind == "extents":
+        extents = victim.extents
+        while extents == victim.extents:
+            extents = _extents(rng)
+        victim.extents = extents
+    elif kind == "dict-insert":
+        dict.__setitem__(table, next_id, _lock(rng, next_id))
+    elif kind == "dict-delete":
+        dict.__delitem__(table, victim.lock_id)
+    elif kind == "dict-replace":
+        dict.__setitem__(table, victim.lock_id, _lock(rng, victim.lock_id))
+    elif kind == "dict-copy":
+        # Equal in every field, yet not the lock the index holds.
+        dict.__setitem__(table, victim.lock_id, copy.copy(victim))
+    elif kind == "dict-rekey":
+        last = next(reversed(table))
+        dict.__setitem__(table, next_id, dict.pop(table, last))
+    elif kind == "row-copy":
+        # Equal in every field, yet not the row the index lists.
+        row = table._entries[victim.lock_id]
+        table._entries[victim.lock_id] = tuple(list(row))
+    elif kind == "seq-rewind":
+        table._next_seq -= rng.randint(1, table._next_seq)
+        table[next_id] = _lock(rng, next_id)
+    elif kind == "sn-rewind":
+        res.next_sn = victim.sn
+    elif kind == "fence":
+        server._fence[victim.client_name] = victim.incarnation + 1
+    elif kind in ("drop-row", "dup-row", "move-row"):
+        rows = rng.choice(_rows(table))
+        at = rng.randrange(len(rows))
+        if kind == "drop-row":
+            del rows[at]
+        elif kind == "dup-row":
+            rows.insert(at, rows[at])
+        else:
+            row = rows.pop(at)
+            target = rng.choice(_rows(table) or [rows])
+            target.insert(rng.randrange(len(target) + 1), row)
+    else:
+        # A legal mutation the table does not report: its record is
+        # dropped from the log, or the log is switched off around it.
+        if kind == "log-off":
+            log, table._touched = table._touched, None
+        if rng.random() < 0.5:
+            table[victim.lock_id] = _lock(rng, victim.lock_id)
+        else:
+            del table[victim.lock_id]
+        if kind == "log-off":
+            table._touched = log
+        elif table._touched:
+            del table._touched[-1]
+    return repair
+
+
+def _step(rng, server, res, next_id, held=False):
+    """One random server transition; returns ``(kind, call, next_id)``
+    with ``call`` running it.  A ``held`` server (see ``_trace``) gets
+    locks planted instead of requests, and evicts nobody."""
+    table = res.granted
+    roll = rng.random()
+    if roll < 0.45 and not held:
+        client = rng.choice(HOLDERS)
+        inc = server._fence.get(client, 0) if rng.random() < 0.9 else 0
+        msg = LockRequestMsg("r", rng.choice(MODES), _extents(rng), client,
+                             incarnation=inc)
+        return "request", lambda: server._on_lock_request(msg, _Reply()), \
+            next_id
+    if roll < 0.58 or held and roll < 0.75 or not table:
+        # Planted through the table's own mutators (mostly illegal
+        # locks), then a transition to look at them.
+        def plant():
+            _mutate(rng, table, dict(table), next_id)
+            server._process(res)
+
+        return "planted", plant, next_id + 1
+    victim = rng.choice(list(table))
+    if roll < 0.82:
+        return "release", \
+            lambda: server._on_release(ReleaseMsg(victim, "r")), next_id
+    if roll < 0.98 or held:
+        return "flip", \
+            lambda: _flip(rng, table, table[victim], server), next_id
+    client = rng.choice(HOLDERS)
+
+    def evict():
+        server._evict(client, "trace")
+        server._process(res)
+
+    return "evict", evict, next_id
+
+
+def _trace(seed, dlm, lcm=None, steps=500):
+    """Drive one seeded trace (see the test below) and return the count
+    of ``(step kind, full-check tag, certified without it)``.  With
+    ``lcm`` the validator judges by that LCM, and the server is held in
+    a recovery hold-off (it grants nothing and I4 stands down), since
+    the two would disagree on every queue head."""
+    rng = random.Random(seed)
+    rig = Rig(dlm=dlm, clients=0)
+    for name in HOLDERS:
+        # Revocation callbacks are sent, never delivered: the clock
+        # does not run.
+        rig.fabric.add_node(name).register_service("dlm_cb", lambda m: None)
+    server = rig.server
+    validator = LockValidator(server)
+    if lcm is not None:
+        validator.lcm = lcm
+        server.recovery_hold_until = float("inf")
+    res = server._res("r")
+    res.next_sn = 1 << 40           # planted SNs stay below it
+    next_id = PLANTED
+    outcomes = Counter()
+    for step in range(steps):
+        full_before = validator.full_checks
+        repair = None
+        if len(res.granted) >= 2 and rng.random() < 0.15:
+            kind = rng.choice(CORRUPTIONS)
+            repair = _corrupt(rng, kind, server, res, next_id)
+            next_id += 1
+            # Nothing in the queue: the transition itself must not
+            # mutate a damaged index.
+            queue, res.queue = res.queue, deque()
+            call = lambda: server._process(res)  # noqa: E731
+        else:
+            kind, call, next_id = _step(rng, server, res, next_id,
+                                        held=lcm is not None)
+        got = _tag(call)
+        want = validator_tag(validator, res)
+        assert got == want, (dlm, seed, step, kind)
+        if repair is not None:
+            repair()
+            res.queue = queue
+        outcomes[kind, want, validator.full_checks == full_before] += 1
+    return outcomes
+
+
+@pytest.mark.parametrize("dlm", ["seqdlm", "dlm-basic", "dlm-lustre",
+                                 "dlm-datatype"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_each_transition_matches_the_full_check(seed, dlm):
+    """Seeded traces through the server's handlers — requests, releases,
+    revocation acks and downgrades, locks planted through the table,
+    evictions — with a corruption the table cannot see injected now and
+    then.  After every transition the validator's per-transition path
+    (shadow, net, touched locks) must raise exactly when the stateless
+    full check does, with the same tag."""
+    outcomes = _trace(seed, dlm)
+    # Not vacuous: most clean transitions pass on the touched locks
+    # alone, illegal tables come up, and every corruption is injected
+    # and caught.
+    clean = sum(n for (kind, want, _), n in outcomes.items()
+                if kind not in CORRUPTIONS and want is None)
+    certified = sum(n for (kind, want, ok), n in outcomes.items()
+                    if kind not in CORRUPTIONS and want is None and ok)
+    assert clean >= 100 and certified >= 0.6 * clean, outcomes
+    assert sum(n for (kind, want, _), n in outcomes.items()
+               if kind not in CORRUPTIONS and want is not None) >= 10
+    caught = sum(n for (kind, want, _), n in outcomes.items()
+                 if kind in CORRUPTIONS and want is not None)
+    assert caught >= 20, outcomes
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_each_transition_matches_the_full_check_where_only_i3_objects(seed):
+    """The same traces judged under an LCM that allows every pair, so
+    two overlapping GRANTED writers are left to I3 alone."""
+    outcomes = _trace(seed, "seqdlm", lcm=everything_compatible)
+    assert sum(n for (_kind, want, _), n in outcomes.items()
+               if want == "I3") >= 5, outcomes
+    assert not any(want == "I1" for _kind, want, _ in outcomes)

@@ -165,10 +165,12 @@ def test_small_open_loop_run_event_count_is_pinned():
     # jitter.  The traffic engine always installs a RetryPolicy, so every
     # RPC goes through rpc_call_retry: a per-call timer or a condition
     # event on the retry path shows up here (it was 10 433 events when
-    # each call armed an AnyOf and a Timeout, and 6 949 before IO
-    # handlers ran without a process, reply futures completed in their
-    # arrival event, open gates were skipped and cancel flushes ran
-    # inline; those four changed no other metric of the run).
+    # each call armed an AnyOf and a Timeout, 6 949 before IO handlers
+    # ran without a process, reply futures completed in their arrival
+    # event, open gates were skipped and cancel flushes ran inline, and
+    # 5 580 while a finished flush woke every caller parked on the
+    # stripe's flush gate instead of the first; none of those changed
+    # another metric of the run).
     result = run_traffic(TrafficConfig(
         dlm="seqdlm", seed=101, arrival="poisson", rate=40000.0,
         duration=0.01, read_fraction=0.5, num_files=4, num_clients=8,
@@ -176,4 +178,4 @@ def test_small_open_loop_run_event_count_is_pinned():
     assert result.offered == result.completed == 382
     metrics = result.metrics["metrics"]
     assert metrics["fabric.messages_delivered"]["value"] == 2005
-    assert metrics["sim.events"]["value"] == 5580
+    assert metrics["sim.events"]["value"] == 5579

@@ -15,10 +15,16 @@ fabric and no lock server sits on the grant path:
 ``dlm-lease``    Redlock-style quorum leases: a candidate collects
                  time-limited votes from a majority of peers.
 
-Each coordinator implements the :class:`~repro.dlm.client.LockClient`
-surface (``lock``/``unlock``/``cancel_all``/flush hooks/stats), so
+Each coordinator implements the part of the
+:class:`~repro.dlm.client.LockClient` surface a cluster without lock
+servers reaches (``lock``/``unlock``/flush hooks/stats), so
 :class:`~repro.pfs.client.CcpfsClient`, the workloads, the traffic
-engine and the chaos harness run unchanged on top of it.  Because these
+engine and the chaos harness run unchanged on top of it.  The rest of
+that surface (``note_fenced``, ``gather_lock_states``, ``cancel_all``)
+serves fencing, lock-server recovery, shard migration and the data
+servers' local lock clients, none of which such a cluster has:
+``Cluster`` refuses liveness, replication, sharding, sequencer kills and
+client outages for this family.  Because these
 protocols are exclusive-only, every mode collapses to ``PW`` over the
 whole resource (extents ``(0, EOF)``) — the page-cache/flush machinery
 then behaves exactly as it would under a whole-file write lock.
@@ -46,10 +52,9 @@ from typing import Callable, Dict, Generator, Hashable, List, Optional, Tuple
 
 from repro._compat import DATACLASS_KW
 from repro.config import DictConfigMixin, register_fn
-from repro.dlm.client import ClientLock, DirtyFn, FlushFn, LockClientStats
+from repro.dlm.client import ClientLock, DirtyFn, FlushFn, LockClientStats, _noop_flush
 from repro.dlm.config import LivenessConfig
 from repro.dlm.extent import EOF
-from repro.dlm.messages import LockStateRecord
 from repro.dlm.types import LockMode, LockState
 from repro.net.rpc import (
     CTRL_MSG_BYTES,
@@ -273,9 +278,6 @@ class MutexCoordinator:
         self.flush_fn = flush_fn
         self.dirty_fn = dirty_fn
 
-    def note_fenced(self, msg) -> None:  # pragma: no cover - API parity
-        """Decentralized variants have no evicting server; nothing to do."""
-
     # ------------------------------------------------------------ inspection
     def cached_locks(self, resource_id: Hashable = None) -> List[ClientLock]:
         if resource_id is not None:
@@ -288,14 +290,6 @@ class MutexCoordinator:
         while lock.merged_into is not None:  # pragma: no cover - no merges
             lock = lock.merged_into
         return lock
-
-    def gather_lock_states(self) -> List[LockStateRecord]:
-        return [LockStateRecord(
-            lock_id=l.lock_id, resource_id=l.resource_id, mode=l.mode,
-            extents=l.extents, sn=l.sn, state=l.state,
-            client_name=self.node.name, has_dirty=self.dirty_fn(l),
-            incarnation=self.incarnation)
-            for l in self.cached_locks()]
 
     # --------------------------------------------------------------- lock()
     def lock(self, resource_id: Hashable, extents: Tuple,
@@ -404,21 +398,6 @@ class MutexCoordinator:
             # Same convention as LockClient: a list of dropped locks.
             self.discard_fn([lock])
 
-    def cancel_all(self) -> Generator:
-        """Flush and release every cached lock (fsync/close path)."""
-        procs = []
-        for lock in list(self._cache.values()):
-            if lock.cancel_started:
-                continue
-            lock.state = LockState.CANCELING
-            if lock.refcount == 0:
-                lock.cancel_started = True
-                procs.append(self.sim.spawn(
-                    self._cancel(lock),
-                    name=f"mutex-cancel-{self.node.name}-{lock.lock_id}"))
-        if procs:
-            yield self.sim.all_of(procs)
-
     # ------------------------------------------------------------- transport
     def _call(self, dst, payload, nbytes: int = CTRL_MSG_BYTES) -> Generator:
         """One reliable peer RPC; counts the send (and fault-run
@@ -472,7 +451,3 @@ class MutexCoordinator:
     def _on_message(self, req):
         raise NotImplementedError
 
-
-def _noop_flush(lock: ClientLock) -> Generator:
-    return
-    yield  # pragma: no cover - makes this a generator function

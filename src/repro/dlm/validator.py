@@ -484,11 +484,6 @@ class LockValidator:
         new.reverse()
         return new
 
-    def _track_new_grants(self, res: _Resource, before_ids: Set[int]) -> None:
-        self._note_grants(res, [(lock_id, lock)
-                                for lock_id, lock in res.granted.items()
-                                if lock_id not in before_ids])
-
     def _note_grants(self, res: _Resource,
                      grants: List[Tuple[int, ServerLock]]) -> None:
         rid = res.resource_id

@@ -190,9 +190,6 @@ class MetricsRegistry:
                   owner: str = "") -> Histogram:
         return self._get(Histogram, name, unit, owner)
 
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 

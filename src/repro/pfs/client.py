@@ -29,7 +29,6 @@ from repro.net.rpc import (
     CTRL_MSG_BYTES,
     RetryPolicy,
     RpcTimeoutError,
-    one_way,
     rpc_call,
     rpc_call_retry,
 )
@@ -619,8 +618,3 @@ class CcpfsClient:
                 # Nothing extractable right now; avoid a busy spin.
                 yield 1e-4
 
-    # --------------------------------------------------------------- helper
-    def size_hint(self, fh: FileHandle) -> None:
-        """Asynchronously push this client's size view to metadata."""
-        one_way(self.node, self.metadata_node, "meta",
-                MetaOp(op="set_size", fid=fh.fid, size=fh.max_written))

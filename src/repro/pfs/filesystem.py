@@ -1040,9 +1040,6 @@ class Cluster:
                 agg[k] = agg.get(k, 0) + v
         return agg
 
-    def total_device_bytes_written(self) -> int:
-        return sum(ds.device.stats.bytes_written for ds in self.data_servers)
-
     def resilience_counters(self) -> Dict[str, int]:
         """Aggregate fault-resilience counters (retry/watchdog machinery
         from the fault layer plus the lease/eviction counters) for the

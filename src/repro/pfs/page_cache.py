@@ -153,9 +153,6 @@ class ClientCache:
         """Rolling write-stream CRC32 for one stripe (checksum mode)."""
         return self._digests.get(key, 0)
 
-    def digests(self) -> Dict[Hashable, int]:
-        return dict(self._digests)
-
     def dirty_keys(self) -> List[Hashable]:
         return [k for k, e in self._entries.items() if len(e.dirty)]
 

@@ -25,10 +25,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)
-
     def put(self, item: Any) -> None:
         """Deposit an item; wakes the oldest waiting getter if any."""
         if self._getters:

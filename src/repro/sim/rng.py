@@ -57,8 +57,3 @@ class DeterministicRNG:
 
     def bytes(self, n: int) -> bytes:
         return self._gen.bytes(n)
-
-    @property
-    def numpy(self) -> np.random.Generator:
-        """The underlying numpy generator for vectorised draws."""
-        return self._gen

@@ -175,12 +175,12 @@ def test_i2_history_is_scoped_to_crash_epoch():
     res = _resource_of(rig)
     res.next_sn = 10
     res.granted[1] = ServerLock(1, "r", "a", NBW, ((0, 100),), 5, G)
-    validator._track_new_grants(res, set())
+    validator._note_grants(res, [(1, res.granted[1])])
     assert validator.max_write_sn_seen["r"] == 5
     # Same SN again pre-crash: duplicate.
     res.granted[2] = ServerLock(2, "r", "b", NBW, ((200, 300),), 5, G)
     with pytest.raises(LockInvariantViolation, match=r"\[I2\]"):
-        validator._track_new_grants(res, {1})
+        validator._note_grants(res, [(2, res.granted[2])])
 
     rig.server.reset_state()  # crash: bumps the epoch, drops lock state
     validator._maybe_roll_epoch()
@@ -190,7 +190,7 @@ def test_i2_history_is_scoped_to_crash_epoch():
     res2 = _resource_of(rig)
     res2.next_sn = 10
     res2.granted[7] = ServerLock(7, "r", "c", NBW, ((0, 100),), 5, G)
-    validator._track_new_grants(res2, set())  # no raise
+    validator._note_grants(res2, [(7, res2.granted[7])])  # no raise
     assert validator.max_write_sn_seen["r"] == 5
 
 
